@@ -15,9 +15,7 @@ from .bargaining import bargaining_outcome, check_bargaining_assumptions, classi
 from .fiscal import solve_equilibrium
 from .params import (AssumptionViolation, CostSpec, FIELD_ORDER, ModelParams,
                      load_config, validate_params)
-from .policy import OutcomeKind, period1_policy, period2_policy
-from .revolution import (expected_utility_I1_variant, expected_utility_O1_variant,
-                         revolution_solve)
+from .revolution import _variant_outcomes, revolution_solve
 from .statics import classify
 from .verify import render_report, run_trials
 
@@ -69,16 +67,17 @@ def parse_axis(text: str) -> Axis:
 
 
 def _solve_any(params: ModelParams, cost: CostSpec, variant: str):
-    """Returns (gamma, sigma_f_bar, phi, tau2_star, labels, flags) per variant."""
+    """Returns (gamma, sigma_f_bar, phi, tau2_star, labels, flags, result) per
+    variant, where result is the variant's own solve result."""
     if variant == "revolution":
         res = revolution_solve(params, cost)
         labels = (res.prop1a.value, res.prop2a.value, res.prop3a.value)
         return (res.gamma_prime, res.sigma_f_bar_prime, res.phi_prime,
-                res.tau2_star_prime, labels, res.flags)
+                res.tau2_star_prime, labels, res.flags, res)
     res = solve_equilibrium(params, cost)
     cls = classify(params)
     labels = (cls.prop1.value, cls.prop2.value, cls.prop3.value)
-    return (res.gamma, res.sigma_f_bar, res.phi, res.tau2_star, labels, res.flags)
+    return (res.gamma, res.sigma_f_bar, res.phi, res.tau2_star, labels, res.flags, res)
 
 
 def _policy_line(label: str, out) -> str:
@@ -88,20 +87,13 @@ def _policy_line(label: str, out) -> str:
 
 
 def solve_report(params: ModelParams, cost: CostSpec, variant: str = "baseline") -> str:
-    gamma, sigma_f_bar, phi, tau2_star, labels, flags = _solve_any(params, cost, variant)
+    gamma, sigma_f_bar, phi, tau2_star, labels, flags, res = _solve_any(
+        params, cost, variant)
     prop1, prop2, prop3 = labels
     clamped = flags.clamped_at_tau_max or flags.clamped_for_feasibility
     if variant == "revolution":
-        war = gamma == 1
-        eu_i1 = expected_utility_I1_variant(params, cost, tau2_star, war)
-        eu_o1 = expected_utility_O1_variant(params, tau2_star, war)
-        period1 = period1_policy(params.tau1, tau2_star, params.sigma_d,
-                                 params.m, cost)
-        period2 = {kind: period2_policy(kind, tau2_star, params.sigma_d,
-                                        params.sigma_f, params.m)
-                   for kind in OutcomeKind}
+        period1, period2, eu_i1, eu_o1 = _variant_outcomes(params, cost, res)
     else:
-        res = solve_equilibrium(params, cost)
         eu_i1, eu_o1 = res.eu_I1, res.eu_O1
         period1, period2 = res.period1, res.period2_by_kind
     lines = [
@@ -154,7 +146,8 @@ def sweep_rows(params: ModelParams, cost: CostSpec, axis1: Axis,
             p = validate_params(raw)
         except AssumptionViolation:
             return f"{_fmt(v1)},{axis2_text},,,,,,,,,,invalid"
-        gamma, sigma_f_bar, phi, tau2_star, labels, flags = _solve_any(p, cost, variant)
+        gamma, sigma_f_bar, phi, tau2_star, labels, flags, _ = _solve_any(
+            p, cost, variant)
         clamped = flags.clamped_at_tau_max or flags.clamped_for_feasibility
         bar = "" if sigma_f_bar is None else _fmt(sigma_f_bar)
         return (f"{_fmt(v1)},{axis2_text},{gamma},{bar},{_fmt(phi)},"

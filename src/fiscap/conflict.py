@@ -7,7 +7,7 @@ Both are implemented and cross-checked on every call where both apply.
 """
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from .params import ModelParams
 from .policy import expected_utility_O1
@@ -48,17 +48,15 @@ def civil_war_threshold(params: ModelParams) -> Optional[float]:
     return num / den
 
 
-def civil_war_decision(params: ModelParams) -> ConflictDecision:
-    """Decide war vs peace; indifference resolves to peace.
-
-    The direct utility comparison at tau2=1 is authoritative (the sign does
-    not depend on tau2). When the threshold is defined the two routes are
-    cross-checked and the decision is reported as threshold-based.
-    """
-    war = expected_utility_O1(params, 1.0, war=True)
-    peace = expected_utility_O1(params, 1.0, war=False)
+def _decide(params: ModelParams, eu_O1: Callable,
+            threshold_of: Callable) -> ConflictDecision:
+    """War decision from O1's expected utility eu_O1(params, tau2, war),
+    cross-checked against the closed-form threshold_of(params) when that is
+    defined; indifference resolves to peace."""
+    war = eu_O1(params, 1.0, war=True)
+    peace = eu_O1(params, 1.0, war=False)
     gamma = 1 if war > peace else 0
-    threshold = civil_war_threshold(params)
+    threshold = threshold_of(params)
     if threshold is None:
         return ConflictDecision(gamma=gamma, threshold=None,
                                 method=DIRECT_UTILITY_COMPARISON)
@@ -71,6 +69,16 @@ def civil_war_decision(params: ModelParams) -> ConflictDecision:
             f"threshold gamma={by_threshold} at {params!r}")
     return ConflictDecision(gamma=gamma, threshold=threshold,
                             method=THRESHOLD_COMPARISON)
+
+
+def civil_war_decision(params: ModelParams) -> ConflictDecision:
+    """Decide war vs peace; indifference resolves to peace.
+
+    The direct utility comparison at tau2=1 is authoritative (the sign does
+    not depend on tau2). When the threshold is defined the two routes are
+    cross-checked and the decision is reported as threshold-based.
+    """
+    return _decide(params, expected_utility_O1, civil_war_threshold)
 
 
 def threshold_sensitivities(params: ModelParams) -> Dict[str, float]:

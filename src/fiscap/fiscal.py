@@ -7,7 +7,7 @@ turnover, investment, and policies into one result.
 """
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Callable, Dict, Iterable, Optional
 
 import numpy as np
 
@@ -126,10 +126,9 @@ def investment_argument(params: ModelParams, gamma: int,
     return p.m * (1.0 + s1) / (1.0 + s2) * bracket
 
 
-def optimal_tau2(params: ModelParams, cost: CostSpec, gamma: int,
-                 sigma_d2: Optional[float] = None) -> Tau2Solution:
-    """Closed-form optimal period-2 capacity with corner and clamp handling."""
-    argument = investment_argument(params, gamma, sigma_d2)
+def _clamped(params: ModelParams, cost: CostSpec, argument: float) -> Tau2Solution:
+    """Capacity that equates marginal cost to the marginal benefit `argument`,
+    with corner, tax-cap and feasibility handling."""
     raw = params.tau1 + inverse_marginal(cost, argument)
     corner = argument <= 0.0
     clamped_cap = raw > params.tau_max
@@ -144,14 +143,16 @@ def optimal_tau2(params: ModelParams, cost: CostSpec, gamma: int,
                          clamped_for_feasibility=clamped_feas))
 
 
-def brute_force_tau2(params: ModelParams, cost: CostSpec, gamma: int,
-                     grid_step: float = 1e-4) -> float:
-    """Grid argmax of the incumbent's expected utility over feasible tau2.
+def optimal_tau2(params: ModelParams, cost: CostSpec, gamma: int,
+                 sigma_d2: Optional[float] = None) -> Tau2Solution:
+    """Closed-form optimal period-2 capacity with corner and clamp handling."""
+    return _clamped(params, cost, investment_argument(params, gamma, sigma_d2))
 
-    Independent of the closed form on purpose. Exact ties resolve to the
-    lowest tau2 (first index), so the result never depends on evaluation
-    order.
-    """
+
+def _grid_argmax(eu_I1: Callable, params: ModelParams, cost: CostSpec,
+                 gamma: int, grid_step: float) -> float:
+    """Feasible tau2 on a grid of `grid_step` that maximizes
+    eu_I1(params, cost, tau2, war); ties resolve to the lowest tau2."""
     if grid_step <= 0.0:
         raise ValueError("grid_step must be positive")
     hi = max_feasible_tau2(params, cost)
@@ -160,8 +161,29 @@ def brute_force_tau2(params: ModelParams, cost: CostSpec, gamma: int,
     grid = grid[grid <= hi]
     if grid[-1] < hi:
         grid = np.append(grid, hi)  # include the exact feasibility endpoint
-    values = expected_utility_I1(params, cost, grid, war=(gamma == 1))
+    values = eu_I1(params, cost, grid, war=(gamma == 1))
     return float(grid[int(np.argmax(values))])
+
+
+def brute_force_tau2(params: ModelParams, cost: CostSpec, gamma: int,
+                     grid_step: float = 1e-4) -> float:
+    """Grid argmax of the incumbent's expected utility over feasible tau2.
+
+    Independent of the closed form on purpose. Exact ties resolve to the
+    lowest tau2 (first index), so the result never depends on evaluation
+    order.
+    """
+    return _grid_argmax(expected_utility_I1, params, cost, gamma, grid_step)
+
+
+def _outcomes(params: ModelParams, cost: CostSpec, tau2: float, war: bool,
+              kinds: Iterable[OutcomeKind], eu_I1: Callable, eu_O1: Callable):
+    """Period-1 policy, period-2 policy per ruler kind, and the expected
+    utilities eu_I1 and eu_O1 at capacity tau2."""
+    period1 = period1_policy(params.tau1, tau2, params.sigma_d, params.m, cost)
+    period2 = {kind: period2_policy(kind, tau2, params.sigma_d, params.sigma_f, params.m)
+               for kind in kinds}
+    return period1, period2, eu_I1(params, cost, tau2, war), eu_O1(params, tau2, war)
 
 
 def solve_equilibrium(params: ModelParams, cost: CostSpec) -> EquilibriumResult:
@@ -171,13 +193,10 @@ def solve_equilibrium(params: ModelParams, cost: CostSpec) -> EquilibriumResult:
     phi = turnover_probability(params, gamma)
     solution = optimal_tau2(params, cost, gamma)
     tau2 = solution.tau2_star
-    period1 = period1_policy(params.tau1, tau2, params.sigma_d, params.m, cost)
-    period2 = {kind: period2_policy(kind, tau2, params.sigma_d, params.sigma_f, params.m)
-               for kind in BASELINE_KINDS}
-    war = gamma == 1
+    period1, period2, eu_i1, eu_o1 = _outcomes(
+        params, cost, tau2, gamma == 1, BASELINE_KINDS,
+        expected_utility_I1, expected_utility_O1)
     return EquilibriumResult(
         gamma=gamma, sigma_f_bar=decision.threshold, phi=phi, tau2_star=tau2,
-        period1=period1, period2_by_kind=period2,
-        eu_I1=expected_utility_I1(params, cost, tau2, war),
-        eu_O1=expected_utility_O1(params, tau2, war),
+        period1=period1, period2_by_kind=period2, eu_I1=eu_i1, eu_O1=eu_o1,
         flags=solution.flags)

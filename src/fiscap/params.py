@@ -4,6 +4,7 @@ Every other module takes a validated ModelParams. Validation is total: all
 violated conditions are collected and reported together, never one at a time.
 """
 
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -84,8 +85,8 @@ class CostSpec:
 
     def __post_init__(self):
         if self.kind == "quadratic":
-            if not self.c > 0:
-                raise ValueError("quadratic cost requires c > 0")
+            if not 0.0 < self.c < math.inf:
+                raise ValueError(f"quadratic cost requires finite c > 0, got {self.c!r}")
             return
         if self.kind != "custom":
             raise ValueError(f"unknown cost kind: {self.kind}")
@@ -93,6 +94,8 @@ class CostSpec:
         ms = np.asarray(self.marginals, dtype=float)
         if xs.size < 2 or xs.size != ms.size:
             raise ValueError("custom cost needs matching knot and marginal tables")
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ms))):
+            raise ValueError("custom cost knots and marginals must be finite")
         if xs[0] != 0.0 or ms[0] != 0.0:
             raise ValueError("custom cost requires a knot at 0 with zero marginal")
         if np.any(np.diff(xs) <= 0):
@@ -145,8 +148,8 @@ def _check_ranges(values: Mapping[str, float]) -> List[Violation]:
         v = values[key]
         if not (0.0 <= v <= 1.0):
             found.append(Violation(f"range:{key}", f"{key}={v!r} must be in [0, 1]"))
-    if not values["m"] > 0.0:
-        found.append(Violation("range:m", f"m={values['m']!r} must be > 0"))
+    if not 0.0 < values["m"] < math.inf:
+        found.append(Violation("range:m", f"m={values['m']!r} must be finite and > 0"))
     if not (0.0 <= values["tau1"] <= values["tau_max"] <= 1.0):
         found.append(Violation(
             "range:tau1",
@@ -213,6 +216,7 @@ def validate_params(raw: Union[Mapping[str, float], ModelParams],
 def parse_config_text(text: str) -> Dict[str, float]:
     """Parse flat key=value config text; '#' starts a comment, blank lines skipped."""
     values: Dict[str, float] = {}
+    lines_of: Dict[str, List[int]] = {}
     violations: List[Violation] = []
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
@@ -224,10 +228,16 @@ def parse_config_text(text: str) -> Dict[str, float]:
             continue
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
+        lines_of.setdefault(key, []).append(lineno)
         try:
             values[key] = float(val)
         except ValueError:
             violations.append(Violation(f"parse:{key}", f"invalid value for {key}: {val!r}"))
+    for key, linenos in lines_of.items():
+        if len(linenos) > 1:
+            violations.append(Violation(
+                f"duplicate:{key}",
+                f"duplicate key {key} on lines {', '.join(map(str, linenos))}"))
     if violations:
         raise AssumptionViolation(violations)
     return values

@@ -110,9 +110,16 @@ def indirect_utility(viewer: str, kind: OutcomeKind, tau2, params: ModelParams):
     return out if out.ndim else float(out)
 
 
-def _mixture(params: ModelParams, war: bool, w_opp, w_keep, w_foreign):
-    """Expected period-2 value over the turnover lottery for either branch."""
+def _mixture(params: ModelParams, viewer: str, tau2, war: bool,
+             war_ruler: OutcomeKind):
+    """`viewer`'s expected period-2 value over the turnover lottery for either
+    branch, when an opposition that takes power on the war branch rules as
+    `war_ruler` (OPPOSITION_RULES in the baseline)."""
     p = params
+    w_opp = indirect_utility(viewer, war_ruler if war else OutcomeKind.OPPOSITION_RULES,
+                             tau2, params)
+    w_keep = indirect_utility(viewer, OutcomeKind.INCUMBENT_RETAINS, tau2, params)
+    w_foreign = indirect_utility(viewer, OutcomeKind.FOREIGN_ADMINISTRATION, tau2, params)
     if war:
         with_conflict = ((p.omega + p.rho * p.lam) * w_opp
                          + (1.0 - p.omega - p.rho) * w_keep
@@ -126,13 +133,23 @@ def _mixture(params: ModelParams, war: bool, w_opp, w_keep, w_foreign):
     return p.alpha * with_conflict + (1.0 - p.alpha) * without
 
 
+def _expected_I1(params: ModelParams, cost: CostSpec, tau2, war: bool,
+                 war_ruler: OutcomeKind):
+    """I1's total expected utility when an opposition that takes power on the
+    war branch rules as `war_ruler`."""
+    tau2_arr = np.asarray(tau2, dtype=float)
+    invest = cost.value(tau2_arr - params.tau1)
+    if np.any(np.asarray(invest) > params.tau1 * params.m):
+        raise InfeasibleInvestment("investment cost exceeds period-1 revenue")
+    period1 = ((1.0 - params.tau1) * params.m
+               + 2.0 * (params.tau1 * params.m - invest) / (1.0 + params.sigma_d))
+    out = np.asarray(period1 + _mixture(params, "I1", tau2_arr, war, war_ruler))
+    return out if out.ndim else float(out)
+
+
 def expected_utility_O1(params: ModelParams, tau2, war: bool):
     """O1's expected period-2 utility under civil war (war=True) or peace."""
-    return _mixture(
-        params, war,
-        indirect_utility("O1", OutcomeKind.OPPOSITION_RULES, tau2, params),
-        indirect_utility("O1", OutcomeKind.INCUMBENT_RETAINS, tau2, params),
-        indirect_utility("O1", OutcomeKind.FOREIGN_ADMINISTRATION, tau2, params))
+    return _mixture(params, "O1", tau2, war, OutcomeKind.OPPOSITION_RULES)
 
 
 def expected_utility_I1(params: ModelParams, cost: CostSpec, tau2, war: bool):
@@ -140,16 +157,4 @@ def expected_utility_I1(params: ModelParams, cost: CostSpec, tau2, war: bool):
     expected period-2 value. Accepts scalar or array tau2; raises
     InfeasibleInvestment if any point costs more than period-1 revenue.
     """
-    tau2_arr = np.asarray(tau2, dtype=float)
-    invest = cost.value(tau2_arr - params.tau1)
-    if np.any(np.asarray(invest) > params.tau1 * params.m):
-        raise InfeasibleInvestment("investment cost exceeds period-1 revenue")
-    period1 = ((1.0 - params.tau1) * params.m
-               + 2.0 * (params.tau1 * params.m - invest) / (1.0 + params.sigma_d))
-    period2 = _mixture(
-        params, war,
-        indirect_utility("I1", OutcomeKind.OPPOSITION_RULES, tau2_arr, params),
-        indirect_utility("I1", OutcomeKind.INCUMBENT_RETAINS, tau2_arr, params),
-        indirect_utility("I1", OutcomeKind.FOREIGN_ADMINISTRATION, tau2_arr, params))
-    out = np.asarray(period1 + period2)
-    return out if out.ndim else float(out)
+    return _expected_I1(params, cost, tau2, war, OutcomeKind.OPPOSITION_RULES)

@@ -1,25 +1,33 @@
 """Variant where a victorious rebel government owes the loser nothing.
 
-Winning a civil war voids the cohesiveness rule for period 2, which raises
-the opposition's war payoff and so lowers the war threshold relative to the
-baseline (they coincide exactly at zero cohesiveness, where the rule pays
-nothing anyway). The peace branch is untouched: with no war there is no
-revolution, and the baseline peace solution applies bit for bit.
+This is the baseline solver under one different war-branch payoff rule: an
+opposition that takes power on the war branch rules as
+OPPOSITION_RULES_POST_REVOLUTION, free of the cohesiveness rule, instead of
+as OPPOSITION_RULES. That raises the opposition's war payoff and so lowers
+the war threshold relative to the baseline (they coincide exactly at zero
+cohesiveness, where the rule pays nothing anyway). The peace branch is
+untouched: with no war there is no revolution, and the baseline peace
+solution applies bit for bit.
+
+The utilities, clamps, grid oracle, decision cross-check and regime labels
+are the baseline's. Only the war threshold and the war-branch marginal
+benefit of capacity have closed forms of their own here; they are the
+independent routes the property suite checks the shared code against.
 """
 
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from .conflict import DIRECT_UTILITY_COMPARISON, THRESHOLD_COMPARISON, turnover_probability
-from .fiscal import (SolveFlags, Tau2Solution, inverse_marginal,
-                     max_feasible_tau2, optimal_tau2)
+from .conflict import _decide, turnover_probability
+from .fiscal import (SolveFlags, Tau2Solution, _clamped, _grid_argmax,
+                     _outcomes, optimal_tau2)
 from .params import CostSpec, ModelParams
-from .policy import (InfeasibleInvestment, OutcomeKind, expected_utility_I1,
-                     expected_utility_O1, indirect_utility)
-from .statics import (InvestmentRegime, JointRegime, TurnoverResponse,
-                      investment_condition, EQUALITY_TOL)
+from .policy import OutcomeKind, _expected_I1, _mixture
+from .statics import (InvestmentRegime, JointRegime, TurnoverResponse, _labels,
+                      investment_condition)
+
+# the ruler an opposition that wins power on the war branch becomes
+WAR_RULER = OutcomeKind.OPPOSITION_RULES_POST_REVOLUTION
 
 
 @dataclass(frozen=True)
@@ -60,42 +68,13 @@ def expected_utility_O1_variant(params: ModelParams, tau2, war: bool):
     power wins the simultaneous interstate war). The peace branch is the
     baseline one.
     """
-    if not war:
-        return expected_utility_O1(params, tau2, war=False)
-    p = params
-    w_rev = indirect_utility(
-        "O1", OutcomeKind.OPPOSITION_RULES_POST_REVOLUTION, tau2, params)
-    w_keep = indirect_utility("O1", OutcomeKind.INCUMBENT_RETAINS, tau2, params)
-    w_foreign = indirect_utility("O1", OutcomeKind.FOREIGN_ADMINISTRATION, tau2, params)
-    with_conflict = ((p.omega + p.rho * p.lam) * w_rev
-                     + (1.0 - p.omega - p.rho) * w_keep
-                     + p.rho * (1.0 - p.lam) * w_foreign)
-    without = p.delta * w_rev + (1.0 - p.delta) * w_keep
-    return p.alpha * with_conflict + (1.0 - p.alpha) * without
+    return _mixture(params, "O1", tau2, war, WAR_RULER)
 
 
 def expected_utility_I1_variant(params: ModelParams, cost: CostSpec, tau2, war: bool):
     """I1's total expected utility in the variant (war branch pays the old
     incumbent nothing whenever the opposition accedes)."""
-    if not war:
-        return expected_utility_I1(params, cost, tau2, war=False)
-    p = params
-    tau2_arr = np.asarray(tau2, dtype=float)
-    invest = cost.value(tau2_arr - p.tau1)
-    if np.any(np.asarray(invest) > p.tau1 * p.m):
-        raise InfeasibleInvestment("investment cost exceeds period-1 revenue")
-    period1 = ((1.0 - p.tau1) * p.m
-               + 2.0 * (p.tau1 * p.m - invest) / (1.0 + p.sigma_d))
-    w_gone = indirect_utility(
-        "I1", OutcomeKind.OPPOSITION_RULES_POST_REVOLUTION, tau2_arr, params)
-    w_keep = indirect_utility("I1", OutcomeKind.INCUMBENT_RETAINS, tau2_arr, params)
-    w_foreign = indirect_utility("I1", OutcomeKind.FOREIGN_ADMINISTRATION, tau2_arr, params)
-    with_conflict = ((p.omega + p.rho * p.lam) * w_gone
-                     + (1.0 - p.omega - p.rho) * w_keep
-                     + p.rho * (1.0 - p.lam) * w_foreign)
-    without = p.delta * w_gone + (1.0 - p.delta) * w_keep
-    out = np.asarray(period1 + p.alpha * with_conflict + (1.0 - p.alpha) * without)
-    return out if out.ndim else float(out)
+    return _expected_I1(params, cost, tau2, war, WAR_RULER)
 
 
 def variant_war_tau2(params: ModelParams, cost: CostSpec) -> Tau2Solution:
@@ -104,33 +83,18 @@ def variant_war_tau2(params: ModelParams, cost: CostSpec) -> Tau2Solution:
     p = params
     phi = turnover_probability(params, 1)
     argument = p.m * (-phi + (1.0 - p.sigma_d) / 2.0)
-    raw = p.tau1 + inverse_marginal(cost, argument)
-    corner = argument <= 0.0
-    clamped_cap = raw > p.tau_max
-    tau2 = min(raw, p.tau_max)
-    feasible_hi = max_feasible_tau2(params, cost)
-    clamped_feas = tau2 > feasible_hi
-    if clamped_feas:
-        tau2 = feasible_hi
-    return Tau2Solution(
-        tau2_star=tau2, argument=argument,
-        flags=SolveFlags(corner=corner, clamped_at_tau_max=clamped_cap,
-                         clamped_for_feasibility=clamped_feas))
+    return _clamped(params, cost, argument)
+
+
+def _tau2_solution(params: ModelParams, cost: CostSpec, gamma: int) -> Tau2Solution:
+    """The variant's capacity solution on the branch the decision picked."""
+    return variant_war_tau2(params, cost) if gamma == 1 else optimal_tau2(params, cost, 0)
 
 
 def brute_force_tau2_variant(params: ModelParams, cost: CostSpec, gamma: int,
                              grid_step: float = 1e-4) -> float:
     """Grid argmax of the variant expected utility (lowest tau2 on ties)."""
-    if grid_step <= 0.0:
-        raise ValueError("grid_step must be positive")
-    hi = max_feasible_tau2(params, cost)
-    n = int(np.floor((hi - params.tau1) / grid_step + 1e-9))
-    grid = params.tau1 + grid_step * np.arange(n + 1)
-    grid = grid[grid <= hi]
-    if grid[-1] < hi:
-        grid = np.append(grid, hi)
-    values = expected_utility_I1_variant(params, cost, grid, war=(gamma == 1))
-    return float(grid[int(np.argmax(values))])
+    return _grid_argmax(expected_utility_I1_variant, params, cost, gamma, grid_step)
 
 
 def revolution_solve(params: ModelParams, cost: CostSpec) -> VariantResult:
@@ -140,37 +104,20 @@ def revolution_solve(params: ModelParams, cost: CostSpec) -> VariantResult:
     cross-check when defined); the peace branch reuses the baseline
     investment solution unchanged.
     """
-    war = expected_utility_O1_variant(params, 1.0, war=True)
-    peace = expected_utility_O1_variant(params, 1.0, war=False)
-    gamma = 1 if war > peace else 0
-    threshold = revolution_threshold(params)
-    method = DIRECT_UTILITY_COMPARISON
-    if threshold is not None:
-        by_threshold = 1 if params.sigma_f > threshold else 0
-        if by_threshold != gamma and abs(war - peace) > 1e-9 * params.m:
-            raise AssertionError(
-                f"variant war-decision routes disagree at {params!r}")
-        method = THRESHOLD_COMPARISON
+    decision = _decide(params, expected_utility_O1_variant, revolution_threshold)
+    gamma = decision.gamma
     phi = turnover_probability(params, gamma)
-    if gamma == 1:
-        solution = variant_war_tau2(params, cost)
-    else:
-        solution = optimal_tau2(params, cost, 0)
-    cond = investment_condition(params)
-    if gamma == 1:
-        prop1a = TurnoverResponse.UP
-        prop2a = InvestmentRegime.WAR
-        prop3a = JointRegime.WAR
-    else:
-        prop1a = TurnoverResponse.DOWN
-        if cond > EQUALITY_TOL:
-            prop2a = InvestmentRegime.INVEST_UP
-            prop3a = JointRegime.TURNOVER_DOWN_INVEST_UP
-        else:
-            prop2a = (InvestmentRegime.KNIFE_EDGE if abs(cond) <= EQUALITY_TOL
-                      else InvestmentRegime.INVEST_DOWN)
-            prop3a = JointRegime.TURNOVER_DOWN_INVEST_DOWN
+    solution = _tau2_solution(params, cost, gamma)
+    prop1a, prop2a, prop3a = _labels(gamma, investment_condition(params))
     return VariantResult(
-        sigma_f_bar_prime=threshold, gamma_prime=gamma, phi_prime=phi,
+        sigma_f_bar_prime=decision.threshold, gamma_prime=gamma, phi_prime=phi,
         tau2_star_prime=solution.tau2_star, prop1a=prop1a, prop2a=prop2a,
-        prop3a=prop3a, flags=solution.flags, method=method)
+        prop3a=prop3a, flags=solution.flags, method=decision.method)
+
+
+def _variant_outcomes(params: ModelParams, cost: CostSpec, result: VariantResult):
+    """Period-1 policy, period-2 policy for every ruler kind, and both
+    expected utilities at a revolution_solve result."""
+    return _outcomes(params, cost, result.tau2_star_prime, result.gamma_prime == 1,
+                     OutcomeKind, expected_utility_I1_variant,
+                     expected_utility_O1_variant)

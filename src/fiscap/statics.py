@@ -69,26 +69,25 @@ def investment_condition(params: ModelParams) -> float:
             - params.sigma_d * (params.epsilon - params.lam * params.mu))
 
 
+def _labels(gamma: int, cond: float):
+    """(prop1, prop2, prop3) labels from the war decision and the
+    investment condition."""
+    if gamma == 1:
+        return TurnoverResponse.UP, InvestmentRegime.WAR, JointRegime.WAR
+    if cond > EQUALITY_TOL:
+        return (TurnoverResponse.DOWN, InvestmentRegime.INVEST_UP,
+                JointRegime.TURNOVER_DOWN_INVEST_UP)
+    prop2 = (InvestmentRegime.KNIFE_EDGE if abs(cond) <= EQUALITY_TOL
+             else InvestmentRegime.INVEST_DOWN)
+    return TurnoverResponse.DOWN, prop2, JointRegime.TURNOVER_DOWN_INVEST_DOWN
+
+
 def classify(params: ModelParams) -> RegimeClassification:
     """Regime labels plus near-tie flags for one parameter point."""
     decision = civil_war_decision(params)
     gamma = decision.gamma
     cond = investment_condition(params)
-    if gamma == 1:
-        prop1 = TurnoverResponse.UP
-        prop2 = InvestmentRegime.WAR
-        prop3 = JointRegime.WAR
-    else:
-        prop1 = TurnoverResponse.DOWN
-        if cond > EQUALITY_TOL:
-            prop2 = InvestmentRegime.INVEST_UP
-            prop3 = JointRegime.TURNOVER_DOWN_INVEST_UP
-        elif abs(cond) <= EQUALITY_TOL:
-            prop2 = InvestmentRegime.KNIFE_EDGE
-            prop3 = JointRegime.TURNOVER_DOWN_INVEST_DOWN
-        else:
-            prop2 = InvestmentRegime.INVEST_DOWN
-            prop3 = JointRegime.TURNOVER_DOWN_INVEST_DOWN
+    prop1, prop2, prop3 = _labels(gamma, cond)
     threshold = civil_war_threshold(params)
     flags = {
         "prop2_near_equality": abs(cond) <= BOUNDARY_TOL,

@@ -101,15 +101,13 @@ def _trial_outcomes(trial: int, seed: int, variant: str,
     vresult = revolution.revolution_solve(params, cost)
     if use_variant:
         gamma, tau2_star, flags = vresult.gamma_prime, vresult.tau2_star_prime, vresult.flags
-        eu_of = lambda t2, war: revolution.expected_utility_I1_variant(params, cost, t2, war)
-        closed = (revolution.variant_war_tau2(params, cost) if gamma == 1
-                  else fiscal.optimal_tau2(params, cost, 0))
-        brute = lambda step: revolution.brute_force_tau2_variant(params, cost, gamma, step)
+        eu_I1, brute_force = (revolution.expected_utility_I1_variant,
+                              revolution.brute_force_tau2_variant)
+        closed = revolution._tau2_solution(params, cost, gamma)
     else:
         gamma, tau2_star, flags = result.gamma, result.tau2_star, result.flags
-        eu_of = lambda t2, war: policy.expected_utility_I1(params, cost, t2, war)
+        eu_I1, brute_force = policy.expected_utility_I1, fiscal.brute_force_tau2
         closed = fiscal.optimal_tau2(params, cost, gamma)
-        brute = lambda step: fiscal.brute_force_tau2(params, cost, gamma, step)
     war = gamma == 1
 
     # budget identities on every policy the solve emits, plus all period-2 kinds
@@ -208,14 +206,14 @@ def _trial_outcomes(trial: int, seed: int, variant: str,
     if clamped:
         record("oracle_equivalence", "skip", None)
     else:
-        bf = brute(grid_step)
+        bf = brute_force(params, cost, gamma, grid_step)
         check("oracle_equivalence", abs(tau2_star - bf) <= 2.0 * grid_step,
               f"closed={tau2_star!r} grid={bf!r}")
 
     # objective is concave in tau2
     hi_feas = fiscal.max_feasible_tau2(params, cost)
     grid = np.linspace(params.tau1, hi_feas, 201)
-    vals = eu_of(grid, war)
+    vals = eu_I1(params, cost, grid, war)
     second = np.diff(vals, n=2)
     check("second_order_condition", bool(np.all(second <= 1e-12)),
           f"max second difference {float(second.max())!r}")
@@ -223,9 +221,10 @@ def _trial_outcomes(trial: int, seed: int, variant: str,
     # the reported optimum beats nearby feasible points
     probes = [tau2_star - 10 * grid_step, tau2_star + 10 * grid_step]
     probes = [t2 for t2 in probes if params.tau1 <= t2 <= hi_feas]
-    v_star = eu_of(tau2_star, war)
+    v_star = eu_I1(params, cost, tau2_star, war)
     check("maximality",
-          all(v_star >= eu_of(t2, war) - 1e-12 * max(1.0, abs(v_star)) for t2 in probes),
+          all(v_star >= eu_I1(params, cost, t2, war) - 1e-12 * max(1.0, abs(v_star))
+              for t2 in probes),
           "a nearby point beats the reported optimum")
 
     # corner flag, zero marginal benefit, and tau2*=tau1 line up
@@ -397,6 +396,8 @@ def run_trials(trials: int, seed: int, variant: str = "baseline",
                grid_step: float = 1e-4, workers: int = 1,
                max_counterexamples: int = 50) -> VerifyReport:
     """Run the whole property suite; deterministic for a given seed."""
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     report = VerifyReport(trials=trials, seed=seed, variant=variant)
     for name in PROPERTY_NAMES:
         report.properties[name] = PropertyStats()

@@ -1,5 +1,6 @@
 """Command surface: solve, sweep, verify, bargain; exit codes and formats."""
 
+import hashlib
 import subprocess
 import sys
 
@@ -35,6 +36,21 @@ rho = 0.4
 mu = 0.1
 omega = 0.3
 sigma_d = 0
+sigma_f = 0.1
+m = 1
+tau1 = 0.2
+"""
+
+# regime-map base point; the swept sigma_d and epsilon values replace these
+REGIME_MAP_TEXT = """\
+alpha = 0.5
+lambda = 0
+epsilon = 0.3
+delta = 0.4
+rho = 0.5
+mu = 0.1
+omega = 0.5
+sigma_d = 0.5
 sigma_f = 0.1
 m = 1
 tau1 = 0.2
@@ -199,6 +215,20 @@ def test_sweep_two_axes_row_major_and_workers_agree(p0c_config, tmp_path):
     assert seconds[:3] == ["0.100000", "0.200000", "0.300000"]
 
 
+def test_revolution_sweep_frozen_oracle(tmp_path):
+    # 21x19 regime map under the revolution rule, quadratic cost c=1; the
+    # digest pins every row of the CSV the variant writes
+    config = tmp_path / "regime_map.cfg"
+    config.write_text(REGIME_MAP_TEXT)
+    out_path = tmp_path / "revolution.csv"
+    assert main(["sweep", "--config", str(config), "--cost", "quadratic:c=1",
+                 "--variant", "revolution",
+                 "--axis1", "sigma_d=0:1:0.05", "--axis2", "epsilon=0.1:1:0.05",
+                 "--out", str(out_path)]) == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
+        "e0cad1a5068d33040a1c4a484588ed891f079362977e05f9390b50097654a1c3")
+
+
 def test_sweep_csv_uses_lf_newlines(tmp_path):
     write_sweep_csv(str(tmp_path / "rows.csv"), ["a,b", "c,d"])
     raw = (tmp_path / "rows.csv").read_bytes()
@@ -218,6 +248,13 @@ def test_verify_zero_trials_exits_zero(capsys):
     out = capsys.readouterr().out
     assert "trials=0" in out
     assert "result: PASS" in out
+
+
+def test_verify_negative_trials_exits_one(capsys):
+    assert main(["verify", "--trials", "-3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
 
 
 def test_verify_small_run_and_determinism(capsys):

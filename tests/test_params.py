@@ -104,6 +104,13 @@ def test_tau1_above_tau_max_rejected():
     assert "range:tau1" in violation_codes(info.value)
 
 
+def test_rejects_infinite_m():
+    for m in (float("inf"), float("nan"), 0.0):
+        with pytest.raises(AssumptionViolation) as info:
+            validate_params(dict(VALID_RAW, m=m))
+        assert "range:m" in violation_codes(info.value)
+
+
 def test_validate_is_idempotent_on_model_params():
     params = validate_params(VALID_RAW)
     assert validate_params(params) is params
@@ -172,6 +179,13 @@ def test_parse_config_bad_value_names_key():
     assert "invalid value for alpha" in str(info.value)
 
 
+def test_parse_config_duplicate_key_reports_lines():
+    with pytest.raises(AssumptionViolation) as info:
+        parse_config_text("alpha = 0.5\nmu = 0.1\n# again\nalpha = 0.6\n")
+    assert violation_codes(info.value) == {"duplicate:alpha"}
+    assert "lines 1, 4" in str(info.value)
+
+
 # -- cost specs ----------------------------------------------------------
 
 
@@ -186,6 +200,22 @@ def test_quadratic_cost_value_and_marginal():
 def test_quadratic_cost_requires_positive_c():
     with pytest.raises(ValueError):
         CostSpec(kind="quadratic", c=0.0)
+
+
+def test_quadratic_cost_requires_finite_c():
+    for c in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            CostSpec(kind="quadratic", c=c)
+
+
+def test_custom_cost_requires_finite_table():
+    inf, nan = float("inf"), float("nan")
+    for knots, marginals in (((0.0, 0.5, inf), (0.0, 0.4, 0.8)),
+                             ((0.0, 0.5, nan), (0.0, 0.4, 0.8)),
+                             ((0.0, 0.5, 1.0), (0.0, 0.4, inf)),
+                             ((0.0, 0.5, 1.0), (0.0, nan, 0.8))):
+        with pytest.raises(ValueError, match="finite"):
+            CostSpec(kind="custom", knots=knots, marginals=marginals)
 
 
 def test_custom_cost_matches_quadratic_on_linear_marginal():

@@ -1,5 +1,7 @@
 """The randomized property harness: determinism, accounting, and clean runs."""
 
+import pytest
+
 from fiscap import PROPERTY_NAMES, render_report, run_trials
 
 
@@ -11,6 +13,11 @@ def test_zero_trials_gives_empty_passing_report():
     text = render_report(report)
     assert "trials=0" in text
     assert text.endswith("result: PASS (0 failing checks)")
+
+
+def test_negative_trials_rejected():
+    with pytest.raises(ValueError, match="trials"):
+        run_trials(-3, seed=0)
 
 
 def test_small_run_passes_with_full_accounting():
