@@ -30,14 +30,12 @@ def main() -> int:
     parser.add_argument("--cost-c", type=float, default=1.0)
     parser.add_argument("--variant", choices=["baseline", "revolution"],
                         default="baseline")
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
     params = validate_params(BASE)
     cost = CostSpec(kind="quadratic", c=args.cost_c)
     axis1, axis2 = parse_axis(args.axis1), parse_axis(args.axis2)
-    rows = sweep_rows(params, cost, axis1, axis2,
-                      variant=args.variant, workers=args.workers)
+    rows = sweep_rows(params, cost, axis1, axis2, variant=args.variant)
     write_sweep_csv(args.out, rows)
     invalid = sum(1 for r in rows if r.endswith(",invalid"))
     print(f"wrote {len(rows)} rows to {args.out} ({invalid} invalid points)")

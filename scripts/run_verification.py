@@ -15,11 +15,9 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--variant", choices=["baseline", "revolution"],
                         default="baseline")
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
-    report = run_trials(args.trials, args.seed, variant=args.variant,
-                        workers=args.workers)
+    report = run_trials(args.trials, args.seed, variant=args.variant)
     print(render_report(report))
     return 2 if report.failures else 0
 

@@ -7,14 +7,18 @@ accepted share (an interior value, or 1 when the first inequality binds
 exactly); when only the first holds the offer is zero and still accepted;
 when the first fails every acceptable offer is worse for the incumbent than
 war, so the offer is rejected.
+
+The value functions are the game's expected period-2 payoffs at a given
+period-2 cohesiveness: the accepted share, or zero under civil war.
 """
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional
+from typing import List
 
 from .fiscal import optimal_tau2
 from .params import ModelParams, CostSpec, Violation
+from .policy import OutcomeKind, _mixture
 
 
 class BargainingRegime(Enum):
@@ -86,14 +90,17 @@ def condition12_lhs(params: ModelParams) -> float:
 
 def equilibrium_share(params: ModelParams) -> float:
     """The smallest share the opposition accepts, from the binding acceptance
-    constraint; exactly 1 when the interior condition binds with equality."""
-    if condition11_lhs(params) == 0.5:
-        return 1.0
+    constraint; exactly 1 when the interior condition binds with equality,
+    and never above 1."""
     p = params
     q = p.alpha * (p.rho - p.mu) * (1.0 - p.lam) * _foreign_share(p)
     num = p.alpha * (p.omega + (p.rho - p.mu) * p.lam) + q
     den = (1.0 - p.alpha * (p.omega + p.mu + p.rho * p.lam)
            - 2.0 * (1.0 - p.alpha) * p.epsilon - q)
+    # den - num = 1 - 2*condition11_lhs (delta = epsilon): 1 where the interior
+    # condition binds (0/0 at alpha=0), never past 1 by rounding
+    if condition11_lhs(params) == 0.5 or num >= den:
+        return 1.0
     return num / den
 
 
@@ -114,20 +121,15 @@ def bargaining_outcome(params: ModelParams) -> BargainingOutcome:
 
 def reservation_value(params: ModelParams, tau2: float) -> float:
     """Opposition's expected value of rejecting: civil war at zero cohesiveness."""
-    p = params
-    coeff = (p.alpha * p.omega + p.alpha * p.rho * p.lam + (1.0 - p.alpha) * p.delta
-             + p.alpha * p.rho * (1.0 - p.lam) * _foreign_share(p))
-    return (1.0 - tau2) * p.m + 2.0 * tau2 * p.m * coeff
+    return _mixture(params.replace(sigma_d=0.0), "O1", tau2, True,
+                    OutcomeKind.OPPOSITION_RULES)
 
 
 def inside_value(params: ModelParams, offer: float, tau2: float) -> float:
-    """Opposition's expected value of accepting a share `offer`."""
-    p = params
-    win = p.alpha * p.mu * p.lam + (1.0 - p.alpha) * p.epsilon
-    lose = p.alpha * (1.0 - p.mu) + (1.0 - p.alpha) * (1.0 - p.epsilon)
-    coeff = ((win + lose * offer) / (1.0 + offer)
-             + p.alpha * p.mu * (1.0 - p.lam) * _foreign_share(p))
-    return (1.0 - tau2) * p.m + 2.0 * tau2 * p.m * coeff
+    """Opposition's expected value of accepting a share `offer`: peace at
+    period-2 cohesiveness `offer`."""
+    return _mixture(params.replace(sigma_d=offer), "O1", tau2, False,
+                    OutcomeKind.OPPOSITION_RULES)
 
 
 def o1_accept_decision(params: ModelParams, offer: float, tau2: float) -> bool:
@@ -145,26 +147,18 @@ def o1_accept_decision(params: ModelParams, offer: float, tau2: float) -> bool:
 
 
 def offer_value_I1(params: ModelParams, share: float, tau2: float) -> float:
-    """Incumbent's expected period-2 value when a share is accepted."""
-    p = params
-    coeff = (1.0 - p.alpha * p.mu * (1.0 - p.lam * share)
-             - (1.0 - p.alpha) * p.epsilon * (1.0 - share)) / (1.0 + share)
-    return (1.0 - tau2) * p.m + 2.0 * tau2 * p.m * coeff
+    """Incumbent's expected period-2 value when a share is accepted: peace at
+    period-2 cohesiveness `share`."""
+    return _mixture(params.replace(sigma_d=share), "I1", tau2, False,
+                    OutcomeKind.OPPOSITION_RULES)
 
 
 def reject_value_I1(params: ModelParams, tau2: float) -> float:
-    """Incumbent's expected period-2 value under rejection and civil war."""
-    p = params
-    coeff = p.alpha * (1.0 - p.omega - p.rho) + (1.0 - p.alpha) * (1.0 - p.epsilon)
-    return (1.0 - tau2) * p.m + 2.0 * tau2 * p.m * coeff
-
-
-def _share_for_probe(base_regime: BargainingRegime, probe: ModelParams) -> float:
-    # the probe keeps the base regime's rule: interior share formula for 4.A,
-    # zero share otherwise
-    if base_regime is BargainingRegime.ACCEPTED_POSITIVE:
-        return equilibrium_share(probe)
-    return 0.0
+    """Incumbent's expected period-2 value under rejection: civil war at zero
+    cohesiveness. Valid on the stage's domain delta = epsilon, which
+    check_bargaining_assumptions and sample_params(bargaining=True) enforce."""
+    return _mixture(params.replace(sigma_d=0.0), "I1", tau2, True,
+                    OutcomeKind.OPPOSITION_RULES)
 
 
 def classify_prop5(params: ModelParams, cost: CostSpec) -> Prop5Result:
@@ -193,7 +187,9 @@ def classify_prop5(params: ModelParams, cost: CostSpec) -> Prop5Result:
 
     def tau2_at(alpha: float) -> float:
         probe = params.replace(alpha=alpha)
-        share = _share_for_probe(outcome.regime, probe)
+        # the probe keeps the base regime's rule: interior share for 4.A, else 0
+        share = (equilibrium_share(probe)
+                 if outcome.regime is BargainingRegime.ACCEPTED_POSITIVE else 0.0)
         return optimal_tau2(probe, cost, gamma, sigma_d2=share).tau2_star
 
     derivative = (tau2_at(hi) - tau2_at(lo)) / (hi - lo)

@@ -7,7 +7,6 @@ verification suite reports failures.
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -21,6 +20,7 @@ from .verify import render_report, run_trials
 
 CSV_HEADER = ("axis1,axis2,gamma,sigma_f_bar,phi,tau2_star,"
               "prop1,prop2,prop3,corner,clamped,status")
+MAX_AXIS_POINTS = 10_000  # per axis; the paper's regime map uses 101 and 91
 
 
 def _fmt(value: float) -> str:
@@ -60,9 +60,13 @@ def parse_axis(text: str) -> Axis:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise ValueError(f"bad axis: {text}") from None
-    if step <= 0.0 or stop < start:
+    if not (all(map(math.isfinite, (start, stop, step))) and step > 0.0
+            and stop >= start):
         raise ValueError(f"bad axis range: {text}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    steps = (stop - start) / step + 1e-9
+    if not steps < MAX_AXIS_POINTS:  # also a span that overflowed to inf
+        raise ValueError(f"axis has more than {MAX_AXIS_POINTS} points: {text}")
+    count = int(math.floor(steps)) + 1
     return Axis(name=name, values=tuple(start + i * step for i in range(count)))
 
 
@@ -128,37 +132,34 @@ def sweep_rows(params: ModelParams, cost: CostSpec, axis1: Axis,
                axis2: Optional[Axis], variant: str = "baseline",
                workers: int = 1) -> List[str]:
     """Row-major sweep over one or two config fields; invalid points keep
-    their axis values and carry status=invalid with everything else empty."""
+    their axis values and carry status=invalid with everything else empty.
+    `workers` must be 1; it stays only for perfbench/run.py, which passes it."""
+    if workers != 1:
+        raise ValueError(f"workers must be 1, got {workers!r}")
     base = params.as_dict()
     axis2_values: Tuple[Optional[float], ...] = (
         axis2.values if axis2 is not None else (None,))
-    points = [(v1, v2) for v1 in axis1.values for v2 in axis2_values]
-
-    def one(point: Tuple[float, Optional[float]]) -> str:
-        v1, v2 = point
-        raw = dict(base)
-        raw[axis1.name] = v1
-        axis2_text = ""
-        if axis2 is not None:
-            raw[axis2.name] = v2
-            axis2_text = _fmt(v2)
-        try:
-            p = validate_params(raw)
-        except AssumptionViolation:
-            return f"{_fmt(v1)},{axis2_text},,,,,,,,,,invalid"
-        gamma, sigma_f_bar, phi, tau2_star, labels, flags, _ = _solve_any(
-            p, cost, variant)
-        clamped = flags.clamped_at_tau_max or flags.clamped_for_feasibility
-        bar = "" if sigma_f_bar is None else _fmt(sigma_f_bar)
-        return (f"{_fmt(v1)},{axis2_text},{gamma},{bar},{_fmt(phi)},"
-                f"{_fmt(tau2_star)},{labels[0]},{labels[1]},{labels[2]},"
-                f"{int(flags.corner)},{int(clamped)},ok")
-
-    if workers > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, points))
-    else:
-        rows = [one(pt) for pt in points]
+    rows = []
+    for v1 in axis1.values:
+        for v2 in axis2_values:
+            raw = dict(base)
+            raw[axis1.name] = v1
+            axis2_text = ""
+            if axis2 is not None:
+                raw[axis2.name] = v2
+                axis2_text = _fmt(v2)
+            try:
+                p = validate_params(raw)
+            except AssumptionViolation:
+                rows.append(f"{_fmt(v1)},{axis2_text},,,,,,,,,,invalid")
+                continue
+            gamma, sigma_f_bar, phi, tau2_star, labels, flags, _ = _solve_any(
+                p, cost, variant)
+            clamped = flags.clamped_at_tau_max or flags.clamped_for_feasibility
+            bar = "" if sigma_f_bar is None else _fmt(sigma_f_bar)
+            rows.append(f"{_fmt(v1)},{axis2_text},{gamma},{bar},{_fmt(phi)},"
+                        f"{_fmt(tau2_star)},{labels[0]},{labels[1]},{labels[2]},"
+                        f"{int(flags.corner)},{int(clamped)},ok")
     return rows
 
 
@@ -194,14 +195,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", required=True, help="output CSV path")
     p_sweep.add_argument("--variant", choices=["baseline", "revolution"],
                          default="baseline")
-    p_sweep.add_argument("--workers", type=int, default=1)
 
     p_verify = sub.add_parser("verify", help="run the property suite")
     p_verify.add_argument("--trials", type=int, default=200)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--variant", choices=["baseline", "revolution"],
                           default="baseline")
-    p_verify.add_argument("--workers", type=int, default=1)
 
     p_bargain = sub.add_parser("bargain", help="solve the constitutional stage")
     add_common(p_bargain)
@@ -213,8 +212,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "verify":
-            report = run_trials(args.trials, args.seed, variant=args.variant,
-                                workers=args.workers)
+            report = run_trials(args.trials, args.seed, variant=args.variant)
             print(render_report(report))
             return 2 if report.failures else 0
 
@@ -231,8 +229,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 0
         axis1 = parse_axis(args.axis1)
         axis2 = parse_axis(args.axis2) if args.axis2 else None
-        rows = sweep_rows(params, cost, axis1, axis2,
-                          variant=args.variant, workers=args.workers)
+        rows = sweep_rows(params, cost, axis1, axis2, variant=args.variant)
         write_sweep_csv(args.out, rows)
         print(f"wrote {len(rows)} rows to {args.out}")
         return 0

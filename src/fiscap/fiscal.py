@@ -12,7 +12,7 @@ from typing import Callable, Dict, Iterable, Optional
 import numpy as np
 
 from .conflict import civil_war_decision, turnover_probability
-from .params import CostSpec, ModelParams, NonConvexCost
+from .params import CostSpec, ModelParams
 from .policy import (OutcomeKind, PolicyOutcome, expected_utility_I1,
                      expected_utility_O1, period1_policy, period2_policy)
 
@@ -59,9 +59,6 @@ def inverse_marginal(cost: CostSpec, y: float) -> float:
         return 0.0
     if cost.kind == "quadratic":
         return y / cost.c
-    ms = np.asarray(cost.marginals)
-    if np.any(np.diff(ms) <= 0):
-        raise NonConvexCost("marginal cost must be strictly increasing")
     lo, hi = 0.0, float(cost.knots[-1])
     while cost.marginal(hi) < y:
         hi *= 2.0

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict
 
-from .conflict import civil_war_decision, civil_war_threshold, turnover_probability
+from .conflict import civil_war_decision, turnover_probability
 from .fiscal import investment_argument, optimal_tau2
 from .params import CostSpec, ModelParams, check_params
 
@@ -88,7 +88,7 @@ def classify(params: ModelParams) -> RegimeClassification:
     gamma = decision.gamma
     cond = investment_condition(params)
     prop1, prop2, prop3 = _labels(gamma, cond)
-    threshold = civil_war_threshold(params)
+    threshold = decision.threshold
     flags = {
         "prop2_near_equality": abs(cond) <= BOUNDARY_TOL,
         "near_war_threshold": (threshold is not None

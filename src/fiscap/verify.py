@@ -1,12 +1,11 @@
 """Seeded property harness: rejection-sampled draws, cross-checked routes.
 
 Each trial derives its own generator from (seed, trial), so results do not
-depend on execution order or worker count. Every property reports pass, fail,
-or skip for every trial; skips mark draws where a property's preconditions do
-not hold (undefined threshold, clamped solve, regime flip across probes).
+depend on execution order. Every property reports pass, fail, or skip for
+every trial; skips mark draws where a property's preconditions do not hold
+(undefined threshold, clamped solve, regime flip across probes).
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -395,23 +394,19 @@ def _trial_outcomes(trial: int, seed: int, variant: str,
 def run_trials(trials: int, seed: int, variant: str = "baseline",
                grid_step: float = 1e-4, workers: int = 1,
                max_counterexamples: int = 50) -> VerifyReport:
-    """Run the whole property suite; deterministic for a given seed."""
+    """Run the whole property suite; deterministic for a given seed.
+    `workers` must be 1; it stays only for perfbench/run.py, which passes it."""
+    if workers != 1:
+        raise ValueError(f"workers must be 1, got {workers!r}")
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     report = VerifyReport(trials=trials, seed=seed, variant=variant)
     for name in PROPERTY_NAMES:
         report.properties[name] = PropertyStats()
 
-    def one(trial: int):
-        return _trial_outcomes(trial, seed, variant, grid_step)
-
-    if workers > 1 and trials > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, range(trials)))
-    else:
-        results = [one(t) for t in range(trials)]
-
-    for trial, (outcomes, regime_label, bargain_label) in enumerate(results):
+    for trial in range(trials):
+        outcomes, regime_label, bargain_label = _trial_outcomes(
+            trial, seed, variant, grid_step)
         for name, status, detail in outcomes:
             stats = report.properties[name]
             if status == "pass":

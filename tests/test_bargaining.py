@@ -85,6 +85,22 @@ def test_share_is_one_when_interior_condition_binds():
     assert equilibrium_share(point) == 1.0
 
 
+def test_share_never_exceeds_one_just_below_binding():
+    # a valid bargaining point one ulp below the binding interior condition;
+    # the share formula rounds to 1.0000000000000002 here
+    point = ModelParams(alpha=0.6866934810397353, lam=0.23242975395854062,
+                        epsilon=0.07549536400281172, delta=0.07549536400281172,
+                        rho=0.4819426744054971, mu=0.06740220000187637,
+                        omega=0.5008187204504442, sigma_d=0.0,
+                        sigma_f=0.4177427191873263, m=1.0, tau1=0.2)
+    assert check_bargaining_assumptions(point) == []
+    assert condition11_lhs(point) < 0.5
+    assert equilibrium_share(point) == 1.0
+    outcome = bargaining_outcome(point)
+    assert outcome.regime is BargainingRegime.ACCEPTED_POSITIVE
+    assert outcome.sigma_d2_star == 1.0
+
+
 def test_accept_decision_binds_at_equilibrium_share(p1):
     share = bargaining_outcome(p1).sigma_d2_star
     assert o1_accept_decision(p1, share, 0.5)

@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
-from fiscap.cli import (CSV_HEADER, main, parse_axis, parse_cost, sweep_rows,
-                        write_sweep_csv)
+from fiscap import cli
+from fiscap.cli import (CSV_HEADER, MAX_AXIS_POINTS, main, parse_axis,
+                        parse_cost, sweep_rows, write_sweep_csv)
 from fiscap import CostSpec, solve_equilibrium
 
 from conftest import regime_map_point
@@ -158,6 +159,50 @@ def test_parse_axis_rejects_bad_specs():
             parse_axis(bad)
 
 
+@pytest.mark.parametrize("bad", [
+    "sigma_d=0:inf:0.5", "sigma_d=-inf:1:0.5", "sigma_d=0:1:inf",
+    "sigma_d=nan:1:0.5", "sigma_d=0:nan:0.5", "sigma_d=0:1:nan"])
+def test_parse_axis_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="bad axis range"):
+        parse_axis(bad)
+
+
+def test_parse_axis_caps_point_count(monkeypatch):
+    assert len(parse_axis(f"m=1:{MAX_AXIS_POINTS}:1").values) == MAX_AXIS_POINTS
+    with pytest.raises(ValueError, match="more than"):
+        parse_axis(f"m=1:{MAX_AXIS_POINTS + 1}:1")
+
+    # fail instead of allocating should the cap ever be checked too late
+    def bounded_range(n):
+        assert n <= MAX_AXIS_POINTS, f"range({n}) built"
+        return range(n)
+
+    monkeypatch.setattr(cli, "range", bounded_range, raising=False)
+    for oversized in ("sigma_d=0:1:1e-12", "sigma_d=-1e308:1e308:1"):
+        with pytest.raises(ValueError, match="more than"):
+            parse_axis(oversized)
+
+
+def test_sweep_infinite_axis_exits_one(p0c_config, tmp_path, capsys):
+    out_path = tmp_path / "never.csv"
+    assert main(["sweep", "--config", p0c_config,
+                 "--axis1", "sigma_d=0:inf:0.5", "--out", str(out_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+    assert not out_path.exists()
+
+
+def test_sweep_rows_accepts_only_one_worker(cost):
+    base = regime_map_point(epsilon=0.3, sigma_d=0.5)
+    axis1 = parse_axis("sigma_d=0.3:0.9:0.3")
+    assert sweep_rows(base, cost, axis1, None, workers=1) == sweep_rows(
+        base, cost, axis1, None)
+    for workers in (0, 2, 4):
+        with pytest.raises(ValueError, match="workers"):
+            sweep_rows(base, cost, axis1, None, workers=workers)
+
+
 def test_sweep_writes_expected_csv(p0c_config, tmp_path, capsys):
     out_path = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", p0c_config,
@@ -199,12 +244,12 @@ def test_sweep_marks_invalid_points(tmp_path, p0c_config):
     assert lines[2].endswith(",ok") and lines[3].endswith(",ok")
 
 
-def test_sweep_two_axes_row_major_and_workers_agree(p0c_config, tmp_path):
+def test_sweep_two_axes_row_major_and_deterministic(p0c_config, tmp_path):
     args = ["sweep", "--config", p0c_config,
             "--axis1", "sigma_d=0:1:0.5", "--axis2", "epsilon=0.1:0.3:0.1"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(args + ["--out", str(a)]) == 0
-    assert main(args + ["--out", str(b), "--workers", "4"]) == 0
+    assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     lines = a.read_text().splitlines()
     assert len(lines) == 1 + 3 * 3
@@ -260,8 +305,7 @@ def test_verify_negative_trials_exits_one(capsys):
 def test_verify_small_run_and_determinism(capsys):
     assert main(["verify", "--trials", "25", "--seed", "9"]) == 0
     first = capsys.readouterr().out
-    assert main(["verify", "--trials", "25", "--seed", "9",
-                 "--workers", "3"]) == 0
+    assert main(["verify", "--trials", "25", "--seed", "9"]) == 0
     second = capsys.readouterr().out
     assert first == second
     assert "result: PASS" in first
