@@ -131,11 +131,14 @@ def bargain_report(params: ModelParams, cost: CostSpec) -> str:
 def sweep_rows(params: ModelParams, cost: CostSpec, axis1: Axis,
                axis2: Optional[Axis], variant: str = "baseline",
                workers: int = 1) -> List[str]:
-    """Row-major sweep over one or two config fields; invalid points keep
-    their axis values and carry status=invalid with everything else empty.
-    `workers` must be 1; it stays only for perfbench/run.py, which passes it."""
+    """Row-major sweep over one config field or two different ones; invalid
+    points keep their axis values and carry status=invalid with everything
+    else empty. `workers` must be 1; it stays only for perfbench/run.py,
+    which passes it."""
     if workers != 1:
         raise ValueError(f"workers must be 1, got {workers!r}")
+    if axis2 is not None and axis2.name == axis1.name:
+        raise ValueError(f"axis1 and axis2 both sweep {axis1.name}")
     base = params.as_dict()
     axis2_values: Tuple[Optional[float], ...] = (
         axis2.values if axis2 is not None else (None,))

@@ -6,6 +6,7 @@ purely as an independent check. solve_equilibrium chains the war decision,
 turnover, investment, and policies into one result.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Optional
 
@@ -51,7 +52,11 @@ def inverse_marginal(cost: CostSpec, y: float) -> float:
     """Investment x >= 0 with marginal cost y; 0 whenever y <= 0.
 
     Quadratic costs invert exactly; tabulated costs bisect the strictly
-    increasing marginal to |residual| <= 1e-12 * max(1, |y|).
+    increasing marginal to |residual| <= 1e-12 * max(1, |y|). The exact
+    piecewise-linear inverse would move one row of the seed-0 tabulated
+    sweep pinned in perfbench/reference.json (sigma_d=0.85, epsilon=0.25:
+    tau2_star 0.207813 -> 0.207812, a rounding tie), so the bisection stays
+    until that reference is re-recorded.
     """
     if not np.isfinite(y):
         raise ValueError(f"marginal value must be finite, got {y!r}")
@@ -77,21 +82,38 @@ def inverse_marginal(cost: CostSpec, y: float) -> float:
 
 def max_feasible_tau2(params: ModelParams, cost: CostSpec) -> float:
     """Largest tau2 whose investment cost period-1 revenue can still cover,
-    capped at tau_max."""
+    capped at tau_max.
+
+    A tabulated cost is quadratic on each knot segment and on the tail past
+    the last knot: cum + m0*f + s*f^2/2 at distance f from a knot with
+    cumulative cost cum and marginal m0, where s is the segment's slope (the
+    last segment's on the tail). The bound solves that quadratic for
+    budget = tau1*m on the segment starting at the last knot within budget.
+    """
     budget = params.tau1 * params.m
     if cost.kind == "quadratic":
         x_max = float(np.sqrt(2.0 * budget / cost.c))
     else:
-        lo, hi = 0.0, float(cost.knots[-1])
-        while cost.value(hi) < budget:
-            hi *= 2.0
-        for _ in range(200):
-            mid = (lo + hi) / 2.0
-            if cost.value(mid) <= budget:
-                lo = mid
+        xs, ms, cum, tail_slope = cost._table
+        i = int(np.searchsorted(cum, budget, side="right")) - 1
+        if i == xs.size - 1:
+            s = tail_slope
+        else:
+            s = (ms[i + 1] - ms[i]) / (xs[i + 1] - xs[i])
+        r = budget - cum[i]
+        m0 = ms[i]
+        # cancellation-free form of (-m0 + sqrt(m0^2 + 2*s*r)) / s
+        f = 2.0 * r / (m0 + math.sqrt(m0 * m0 + 2.0 * s * r)) if r > 0.0 else 0.0
+        x_max = float(xs[i] + f)
+        # the root lands an ulp or two off the boundary that cost.value draws;
+        # step to the last float it still affords, where a bisection would end
+        for _ in range(4):
+            if x_max > 0.0 and cost.value(x_max) > budget:
+                x_max = math.nextafter(x_max, 0.0)
+            elif budget > 0.0 and cost.value(math.nextafter(x_max, math.inf)) <= budget:
+                x_max = math.nextafter(x_max, math.inf)
             else:
-                hi = mid
-        x_max = lo
+                break
     top = min(params.tau_max, params.tau1 + x_max)
     # round-off guard on the value consumers re-derive: tau1 + x - tau1 can
     # land an ulp above x, so check affordability after the round trip

@@ -6,6 +6,7 @@ violated conditions are collected and reported together, never one at a time.
 
 import math
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -103,15 +104,25 @@ class CostSpec:
         if np.any(np.diff(ms) <= 0):
             raise NonConvexCost("marginal cost must be strictly increasing")
 
+    @cached_property
+    def _table(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """Custom cost's (knots, marginals, cost at each knot, tail slope),
+        built once per instance; not a field, so eq, hash and repr ignore it."""
+        xs = np.asarray(self.knots)
+        ms = np.asarray(self.marginals)
+        seg = np.diff(xs)
+        # exact integral of the piecewise-linear marginal up to each knot
+        cum = np.concatenate([[0.0], np.cumsum(seg * (ms[:-1] + ms[1:]) / 2.0)])
+        slope = (ms[-1] - ms[-2]) / (xs[-1] - xs[-2])
+        return xs, ms, cum, slope
+
     def marginal(self, x):
         """Marginal cost at investment x >= 0 (vectorized)."""
         x = np.asarray(x, dtype=float)
         if self.kind == "quadratic":
             out = self.c * x
         else:
-            xs = np.asarray(self.knots)
-            ms = np.asarray(self.marginals)
-            slope = (ms[-1] - ms[-2]) / (xs[-1] - xs[-2])
+            xs, ms, _, slope = self._table
             out = np.where(x <= xs[-1], np.interp(x, xs, ms), ms[-1] + slope * (x - xs[-1]))
         return out if out.ndim else float(out)
 
@@ -123,12 +134,9 @@ class CostSpec:
         if self.kind == "quadratic":
             out = self.c * x ** 2 / 2.0
         else:
-            xs = np.asarray(self.knots)
-            ms = np.asarray(self.marginals)
-            seg = np.diff(xs)
-            # exact integral of the piecewise-linear marginal up to each knot
-            cum = np.concatenate([[0.0], np.cumsum(seg * (ms[:-1] + ms[1:]) / 2.0)])
-            idx = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.size - 2)
+            xs, ms, cum, slope = self._table
+            # x >= 0 = xs[0] puts idx at 0 or above; cap it at the last segment
+            idx = np.minimum(np.searchsorted(xs, x, side="right") - 1, xs.size - 2)
             x0, x1 = xs[idx], xs[idx + 1]
             m0, m1 = ms[idx], ms[idx + 1]
             inside = np.minimum(x, xs[-1])
@@ -136,7 +144,6 @@ class CostSpec:
             # trapezoid of the linear marginal from x0 to min(x, last knot)
             m_at = m0 + (m1 - m0) / (x1 - x0) * frac
             out = cum[idx] + frac * (m0 + m_at) / 2.0
-            slope = (ms[-1] - ms[-2]) / (xs[-1] - xs[-2])
             extra = x - inside
             out = out + extra * ms[-1] + slope * extra ** 2 / 2.0
         return out if out.ndim else float(out)

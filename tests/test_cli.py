@@ -193,6 +193,22 @@ def test_sweep_infinite_axis_exits_one(p0c_config, tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_sweep_same_field_on_both_axes_exits_one(p0c_config, tmp_path, capsys):
+    # axis2 would overwrite axis1, so the axis1 column would name unused values
+    out_path = tmp_path / "never.csv"
+    assert main(["sweep", "--config", p0c_config,
+                 "--axis1", "sigma_d=0:1:0.5", "--axis2", "sigma_d=0.2:0.3:0.1",
+                 "--out", str(out_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "sigma_d" in captured.err
+    assert not out_path.exists()
+    base = regime_map_point(epsilon=0.3, sigma_d=0.5)
+    with pytest.raises(ValueError, match="sigma_d"):
+        sweep_rows(base, CostSpec(), parse_axis("sigma_d=0:1:0.5"),
+                   parse_axis("sigma_d=0.2:0.3:0.1"))
+
+
 def test_sweep_rows_accepts_only_one_worker(cost):
     base = regime_map_point(epsilon=0.3, sigma_d=0.5)
     axis1 = parse_axis("sigma_d=0.3:0.9:0.3")
@@ -272,6 +288,20 @@ def test_revolution_sweep_frozen_oracle(tmp_path):
                  "--out", str(out_path)]) == 0
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
         "e0cad1a5068d33040a1c4a484588ed891f079362977e05f9390b50097654a1c3")
+
+
+def test_tabulated_sweep_frozen_oracle(tmp_path):
+    # 21x19 baseline regime map under a 5-knot tabulated cost; the digest pins
+    # every row of the CSV, so the custom-cost solve path is held to its bytes
+    cost = CostSpec(kind="custom", knots=(0.0, 0.25, 0.5, 0.75, 1.0),
+                    marginals=(0.0, 0.2, 0.5, 0.9, 1.4))
+    base = regime_map_point(epsilon=0.3, sigma_d=0.5)
+    rows = sweep_rows(base, cost, parse_axis("sigma_d=0:1:0.05"),
+                      parse_axis("epsilon=0.1:1:0.05"))
+    out_path = tmp_path / "tabulated.csv"
+    write_sweep_csv(str(out_path), rows)
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
+        "accda364506abfd02523daab62eb9c7891e7b3fa847f089a17f6ecb418b2c990")
 
 
 def test_sweep_csv_uses_lf_newlines(tmp_path):

@@ -1,5 +1,7 @@
 """Closed-form investment solve, grid oracle, clamps, and the composed solver."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -104,6 +106,85 @@ def test_max_feasible_tau2_affordable_after_roundtrip(trial):
     hi = max_feasible_tau2(p, cost)
     assert p.tau1 <= hi <= p.tau_max
     assert cost.value(hi - p.tau1) <= p.tau1 * p.m
+
+
+def _bisected_x_max(cost, budgets):
+    """The 200-step bisection that max_feasible_tau2 used for tabulated costs
+    before the closed-form root, kept as its oracle: the largest investment
+    whose cost fits each budget, bisected elementwise.
+
+    Pass budgets past the last knot one at a time, as a 0-d array: on longer
+    arrays numpy squares the tail term as x*x where a scalar cost.value call
+    uses pow, and the two can differ by an ulp. Inside the table they agree.
+    """
+    lo = np.zeros_like(budgets)
+    hi = np.full_like(budgets, float(cost.knots[-1]))
+    while True:
+        short = cost.value(hi) < budgets
+        if not short.any():
+            break
+        hi = np.where(short, hi * 2.0, hi)
+    for _ in range(200):
+        mid = (lo + hi) / 2.0
+        fits = cost.value(mid) <= budgets
+        if np.where(fits, mid == lo, mid == hi).all():
+            break  # a fixed point: the remaining steps would repeat this one
+        lo, hi = np.where(fits, mid, lo), np.where(fits, hi, mid)
+    return lo
+
+
+def _guarded_top(params, cost, x_max):
+    """The round-off guard of max_feasible_tau2, applied to the oracle."""
+    top = min(params.tau_max, params.tau1 + x_max)
+    for _ in range(16):
+        if cost.value(top - params.tau1) <= params.tau1 * params.m:
+            break
+        top = float(np.nextafter(top, params.tau1))
+    return top
+
+
+def test_max_feasible_tau2_custom_matches_bisection():
+    # 1000 seeded strictly convex tables of 2-8 knots, each crossed with a
+    # zero budget, a budget equal to a knot's cumulative cost, one past the
+    # last knot, one capped at tau_max and one inside the table
+    base = regime_map_point(epsilon=0.3, sigma_d=0.5)
+    rng = np.random.default_rng(20260)
+    differing = capped = 0
+    for _ in range(1000):
+        n = int(rng.integers(2, 9))
+        xs = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.1, n - 1))])
+        ms = (np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 1.0, n - 1))])
+              * 10.0 ** rng.uniform(-2.0, 2.0))
+        cost = CostSpec(kind="custom", knots=tuple(xs.tolist()),
+                        marginals=tuple(ms.tolist()))
+        cum = np.concatenate([[0.0], np.cumsum(np.diff(xs) * (ms[:-1] + ms[1:]) / 2.0)])
+        tau1 = float(rng.uniform(0.01, 0.2))
+        knot = int(rng.integers(1, n))
+        inside = [
+            base.replace(tau1=0.25, m=4.0 * float(cum[knot])),  # exactly cum[knot]
+            base.replace(tau1=tau1, m=float(rng.uniform(cum[1], cum[-1])) / tau1,
+                         tau_max=tau1 + float(rng.uniform(0.0, 1.0) * xs[1])),
+            base.replace(tau1=tau1, m=float(rng.uniform(0.0, cum[-1])) / tau1),
+        ]
+        past = base.replace(tau1=tau1,
+                            m=float(cum[-1] * rng.uniform(1.0001, 4.0)) / tau1)
+        x_max = [*_bisected_x_max(cost, np.array([p.tau1 * p.m for p in inside])),
+                 _bisected_x_max(cost, np.array(past.tau1 * past.m)),
+                 0.0]  # at a zero budget the oracle never moves off lo = 0
+        cases = inside + [past, base.replace(tau1=0.0)]
+        for params, x in zip(cases, x_max):
+            oracle = _guarded_top(params, cost, float(x))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                top = max_feasible_tau2(params, cost)
+            assert top in (np.nextafter(oracle, -1.0), oracle, np.nextafter(oracle, 2.0))
+            assert cost.value(top - params.tau1) <= params.tau1 * params.m
+            differing += top != oracle
+            capped += top == params.tau_max
+    # the bisection never tests its starting hi, so it stops an ulp short
+    # when the budget buys exactly the last knot; nearly all else is identical
+    assert differing <= 10
+    assert capped >= 1000  # the tau_max case binds: it is not a vacuous pass
 
 
 def test_brute_force_matches_closed_form_worked_point(p0c, cost):

@@ -1,5 +1,7 @@
 """Validation, config parsing, cost specs, and the parameter sampler."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -228,6 +230,13 @@ def test_custom_cost_matches_quadratic_on_linear_marginal():
         assert cost.marginal(x) == pytest.approx(2.0 * x, abs=1e-12)
     # linear extension beyond the last knot stays exact for this marginal
     assert cost.value(1.5) == pytest.approx(1.5 ** 2, abs=1e-12)
+    # the table cached by those calls is not a field: the used spec still
+    # equals, hashes and prints like a fresh one
+    fresh = CostSpec(kind="custom", knots=knots,
+                     marginals=tuple(2.0 * x for x in knots))
+    assert cost == fresh and hash(cost) == hash(fresh)
+    assert repr(cost) == repr(fresh)
+    assert re.findall(r"(\w+)=", repr(cost)) == ["kind", "c", "knots", "marginals"]
 
 
 def test_custom_cost_rejects_nonconvex_table():
