@@ -63,9 +63,7 @@ def check_bargaining_assumptions(params: ModelParams) -> List[Violation]:
         found.append(Violation("epsilon_le_half", "requires epsilon <= 1/2"))
     if params.epsilon != params.delta:
         found.append(Violation("epsilon_eq_delta", "requires epsilon = delta"))
-    interior = ((1.0 - params.alpha) * params.epsilon
-                + params.alpha * params.mu * (1.0 + params.lam) / 2.0)
-    if not interior < 0.5:
+    if not condition12_lhs(params) < 0.5:
         found.append(Violation(
             "proposer_interior",
             "requires 1/2 > (1-alpha)*epsilon + alpha*mu*(1+lambda)/2"))

@@ -14,7 +14,8 @@ from .bargaining import bargaining_outcome, check_bargaining_assumptions, classi
 from .fiscal import solve_equilibrium
 from .params import (AssumptionViolation, CostSpec, FIELD_ORDER, ModelParams,
                      load_config, validate_params)
-from .revolution import _variant_outcomes, revolution_solve
+from .revolution import (VARIANTS, _check_variant, _variant_outcomes,
+                         revolution_solve)
 from .statics import classify
 from .verify import render_report, run_trials
 
@@ -91,6 +92,7 @@ def _policy_line(label: str, out) -> str:
 
 
 def solve_report(params: ModelParams, cost: CostSpec, variant: str = "baseline") -> str:
+    _check_variant(variant)
     gamma, sigma_f_bar, phi, tau2_star, labels, flags, res = _solve_any(
         params, cost, variant)
     prop1, prop2, prop3 = labels
@@ -135,6 +137,7 @@ def sweep_rows(params: ModelParams, cost: CostSpec, axis1: Axis,
     points keep their axis values and carry status=invalid with everything
     else empty. `workers` must be 1; it stays only for perfbench/run.py,
     which passes it."""
+    _check_variant(variant)
     if workers != 1:
         raise ValueError(f"workers must be 1, got {workers!r}")
     if axis2 is not None and axis2.name == axis1.name:
@@ -180,30 +183,26 @@ def _build_parser() -> argparse.ArgumentParser:
                     "and fiscal-capacity investment.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config_required=True):
-        p.add_argument("--config", required=config_required,
-                       help="key=value config file")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="key=value config file")
         p.add_argument("--cost", default="quadratic:c=1",
                        help="investment cost, quadratic:c=VALUE")
 
     p_solve = sub.add_parser("solve", help="solve one parameter point")
     add_common(p_solve)
-    p_solve.add_argument("--variant", choices=["baseline", "revolution"],
-                         default="baseline")
+    p_solve.add_argument("--variant", choices=VARIANTS, default="baseline")
 
     p_sweep = sub.add_parser("sweep", help="solve over a parameter grid")
     add_common(p_sweep)
     p_sweep.add_argument("--axis1", required=True, help="field=start:stop:step")
     p_sweep.add_argument("--axis2", help="field=start:stop:step")
     p_sweep.add_argument("--out", required=True, help="output CSV path")
-    p_sweep.add_argument("--variant", choices=["baseline", "revolution"],
-                         default="baseline")
+    p_sweep.add_argument("--variant", choices=VARIANTS, default="baseline")
 
     p_verify = sub.add_parser("verify", help="run the property suite")
     p_verify.add_argument("--trials", type=int, default=200)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--variant", choices=["baseline", "revolution"],
-                          default="baseline")
+    p_verify.add_argument("--variant", choices=VARIANTS, default="baseline")
 
     p_bargain = sub.add_parser("bargain", help="solve the constitutional stage")
     add_common(p_bargain)

@@ -19,6 +19,7 @@ from .policy import (OutcomeKind, PolicyOutcome, expected_utility_I1,
 
 BASELINE_KINDS = (OutcomeKind.INCUMBENT_RETAINS, OutcomeKind.OPPOSITION_RULES,
                   OutcomeKind.FOREIGN_ADMINISTRATION)
+GRID_STEP = 1e-4  # spacing of the grid oracles' tau2 grid
 
 
 @dataclass(frozen=True)
@@ -169,14 +170,12 @@ def optimal_tau2(params: ModelParams, cost: CostSpec, gamma: int,
 
 
 def _grid_argmax(eu_I1: Callable, params: ModelParams, cost: CostSpec,
-                 gamma: int, grid_step: float) -> float:
-    """Feasible tau2 on a grid of `grid_step` that maximizes
+                 gamma: int) -> float:
+    """Feasible tau2 on a grid of GRID_STEP that maximizes
     eu_I1(params, cost, tau2, war); ties resolve to the lowest tau2."""
-    if grid_step <= 0.0:
-        raise ValueError("grid_step must be positive")
     hi = max_feasible_tau2(params, cost)
-    n = int(np.floor((hi - params.tau1) / grid_step + 1e-9))
-    grid = params.tau1 + grid_step * np.arange(n + 1)
+    n = int(np.floor((hi - params.tau1) / GRID_STEP + 1e-9))
+    grid = params.tau1 + GRID_STEP * np.arange(n + 1)
     grid = grid[grid <= hi]
     if grid[-1] < hi:
         grid = np.append(grid, hi)  # include the exact feasibility endpoint
@@ -184,15 +183,14 @@ def _grid_argmax(eu_I1: Callable, params: ModelParams, cost: CostSpec,
     return float(grid[int(np.argmax(values))])
 
 
-def brute_force_tau2(params: ModelParams, cost: CostSpec, gamma: int,
-                     grid_step: float = 1e-4) -> float:
+def brute_force_tau2(params: ModelParams, cost: CostSpec, gamma: int) -> float:
     """Grid argmax of the incumbent's expected utility over feasible tau2.
 
     Independent of the closed form on purpose. Exact ties resolve to the
     lowest tau2 (first index), so the result never depends on evaluation
     order.
     """
-    return _grid_argmax(expected_utility_I1, params, cost, gamma, grid_step)
+    return _grid_argmax(expected_utility_I1, params, cost, gamma)
 
 
 def _outcomes(params: ModelParams, cost: CostSpec, tau2: float, war: bool,

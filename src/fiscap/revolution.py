@@ -28,6 +28,8 @@ from .statics import (InvestmentRegime, JointRegime, TurnoverResponse, _labels,
 
 # the ruler an opposition that wins power on the war branch becomes
 WAR_RULER = OutcomeKind.OPPOSITION_RULES_POST_REVOLUTION
+# solver variants by name: the baseline game and this one
+VARIANTS = ("baseline", "revolution")
 
 
 @dataclass(frozen=True)
@@ -41,6 +43,12 @@ class VariantResult:
     prop3a: JointRegime
     flags: SolveFlags
     method: str
+
+
+def _check_variant(variant: str) -> None:
+    """Raise ValueError unless `variant` names one of VARIANTS."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
 
 
 def revolution_threshold(params: ModelParams) -> Optional[float]:
@@ -91,10 +99,9 @@ def _tau2_solution(params: ModelParams, cost: CostSpec, gamma: int) -> Tau2Solut
     return variant_war_tau2(params, cost) if gamma == 1 else optimal_tau2(params, cost, 0)
 
 
-def brute_force_tau2_variant(params: ModelParams, cost: CostSpec, gamma: int,
-                             grid_step: float = 1e-4) -> float:
+def brute_force_tau2_variant(params: ModelParams, cost: CostSpec, gamma: int) -> float:
     """Grid argmax of the variant expected utility (lowest tau2 on ties)."""
-    return _grid_argmax(expected_utility_I1_variant, params, cost, gamma, grid_step)
+    return _grid_argmax(expected_utility_I1_variant, params, cost, gamma)
 
 
 def revolution_solve(params: ModelParams, cost: CostSpec) -> VariantResult:

@@ -112,8 +112,9 @@ def _solve_point(params: ModelParams, cost: CostSpec, target: str):
 
 
 def finite_difference(params: ModelParams, cost: CostSpec, target: str,
-                      wrt: str, h: float = None) -> FiniteDifference:
-    """Central difference of phi or tau2* in alpha, lam, or sigma_d.
+                      wrt: str) -> FiniteDifference:
+    """Central difference of phi or tau2* in alpha, lam, or sigma_d, with
+    step 1e-6*max(1, |x|) at x.
 
     regime_stable is False when the war decision or any corner/clamp flag
     differs across the three evaluation points; such estimates straddle a
@@ -123,8 +124,7 @@ def finite_difference(params: ModelParams, cost: CostSpec, target: str,
     if attr is None:
         raise ValueError(f"wrt must be alpha, lambda, or sigma_d, got {wrt!r}")
     x = getattr(params, attr)
-    if h is None:
-        h = 1e-6 * max(1.0, abs(x))
+    h = 1e-6 * max(1.0, abs(x))
     if x - h < 0.0 or x + h > 1.0:
         raise DomainExit(f"{wrt}={x!r} with step {h!r} leaves [0, 1]")
     lo = params.replace(**{attr: x - h})

@@ -77,9 +77,10 @@ def _budget_ok(out: policy.PolicyOutcome, m: float) -> bool:
     return abs(out.budget_gap(m)) <= 1e-12
 
 
-def _trial_outcomes(trial: int, seed: int, variant: str,
-                    grid_step: float) -> Tuple[List[Outcome], str, str]:
+def _trial_outcomes(trial: int, seed: int,
+                    variant: str) -> Tuple[List[Outcome], str, str]:
     """Run every property for one trial; returns outcomes plus regime labels."""
+    grid_step = fiscal.GRID_STEP
     rng = np.random.default_rng(np.random.SeedSequence((seed, trial)))
     params = sample_params(rng)
     cost = CostSpec(kind="quadratic", c=float(rng.uniform(0.5, 5.0)))
@@ -205,7 +206,7 @@ def _trial_outcomes(trial: int, seed: int, variant: str,
     if clamped:
         record("oracle_equivalence", "skip", None)
     else:
-        bf = brute_force(params, cost, gamma, grid_step)
+        bf = brute_force(params, cost, gamma)
         check("oracle_equivalence", abs(tau2_star - bf) <= 2.0 * grid_step,
               f"closed={tau2_star!r} grid={bf!r}")
 
@@ -378,7 +379,7 @@ def _trial_outcomes(trial: int, seed: int, variant: str,
     if vclamped:
         record("variant_oracle_equivalence", "skip", None)
     else:
-        bf = revolution.brute_force_tau2_variant(params, cost, vresult.gamma_prime, grid_step)
+        bf = revolution.brute_force_tau2_variant(params, cost, vresult.gamma_prime)
         check("variant_oracle_equivalence",
               abs(vresult.tau2_star_prime - bf) <= 2.0 * grid_step,
               f"closed={vresult.tau2_star_prime!r} grid={bf!r}")
@@ -392,10 +393,10 @@ def _trial_outcomes(trial: int, seed: int, variant: str,
 
 
 def run_trials(trials: int, seed: int, variant: str = "baseline",
-               grid_step: float = 1e-4, workers: int = 1,
-               max_counterexamples: int = 50) -> VerifyReport:
+               workers: int = 1, max_counterexamples: int = 50) -> VerifyReport:
     """Run the whole property suite; deterministic for a given seed.
     `workers` must be 1; it stays only for perfbench/run.py, which passes it."""
+    revolution._check_variant(variant)
     if workers != 1:
         raise ValueError(f"workers must be 1, got {workers!r}")
     if trials < 0:
@@ -405,8 +406,7 @@ def run_trials(trials: int, seed: int, variant: str = "baseline",
         report.properties[name] = PropertyStats()
 
     for trial in range(trials):
-        outcomes, regime_label, bargain_label = _trial_outcomes(
-            trial, seed, variant, grid_step)
+        outcomes, regime_label, bargain_label = _trial_outcomes(trial, seed, variant)
         for name, status, detail in outcomes:
             stats = report.properties[name]
             if status == "pass":

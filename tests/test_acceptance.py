@@ -8,6 +8,7 @@ All randomness is seeded per (criterion tag, trial index), so every run checks
 the identical set of parameter draws.
 """
 
+import hashlib
 import sys
 import time
 
@@ -22,7 +23,7 @@ from fiscap import (CostSpec, DomainExit, InvestmentRegime, bargaining_outcome,
                     reject_value_I1, reservation_value, revolution_solve,
                     revolution_threshold, sample_params, solve_equilibrium)
 from fiscap.bargaining import BargainingRegime
-from fiscap.cli import parse_axis, sweep_rows
+from fiscap.cli import CSV_HEADER, parse_axis, sweep_rows
 from fiscap.conflict import THRESHOLD_COMPARISON
 from fiscap.policy import OutcomeKind
 
@@ -65,7 +66,7 @@ def test_criterion_1_closed_form_matches_grid_oracle(verdict):
         if sol.flags.clamped_at_tau_max or sol.flags.clamped_for_feasibility:
             continue
         unclamped += 1
-        oracle = brute_force_tau2(params, cost, gamma, grid_step=1e-4)
+        oracle = brute_force_tau2(params, cost, gamma)
         if abs(sol.tau2_star - oracle) > 2e-4:
             failures.append((t, sol.tau2_star, oracle))
     elapsed = time.perf_counter() - start
@@ -329,8 +330,8 @@ def test_criterion_6_bargained_share_monotone(verdict):
 
 def test_criterion_7_regime_map_replication(verdict, cost):
     """The 101 x 91 sweep over (sigma_d, epsilon) splits the rectangle along
-    the analytic war and investment boundaries (within one grid cell), and
-    its rows are identical across runs."""
+    the analytic war and investment boundaries (within one grid cell), its
+    rows are identical across runs, and its CSV is the pinned regime map."""
     failures = []
     base = regime_map_point(epsilon=0.3, sigma_d=0.5)
     axis1 = parse_axis("sigma_d=0:1:0.01")
@@ -401,6 +402,11 @@ def test_criterion_7_regime_map_replication(verdict, cost):
     rows_again = sweep_rows(base, cost, axis1, axis2)
     if rows != rows_again:
         failures.append(("rerun_mismatch",))
+    csv = CSV_HEADER + "\n" + "".join(row + "\n" for row in rows)
+    digest = hashlib.sha256(csv.encode()).hexdigest()
+    # perfbench/reference.json's regime_map digest
+    if digest != "9ad657d3f8f2b577a1d0bbdcefb3d17dede34bc2ed54f0494ff117e1bf9db401":
+        failures.append(("regime_map_digest", digest))
     verdict(7, failures)
 
 

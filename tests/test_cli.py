@@ -8,7 +8,7 @@ import pytest
 
 from fiscap import cli
 from fiscap.cli import (CSV_HEADER, MAX_AXIS_POINTS, main, parse_axis,
-                        parse_cost, sweep_rows, write_sweep_csv)
+                        parse_cost, solve_report, sweep_rows, write_sweep_csv)
 from fiscap import CostSpec, solve_equilibrium
 
 from conftest import regime_map_point
@@ -217,6 +217,18 @@ def test_sweep_rows_accepts_only_one_worker(cost):
     for workers in (0, 2, 4):
         with pytest.raises(ValueError, match="workers"):
             sweep_rows(base, cost, axis1, None, workers=workers)
+
+
+def test_sweep_rows_rejects_unknown_variant(cost):
+    base = regime_map_point(epsilon=0.3, sigma_d=0.5)
+    with pytest.raises(ValueError, match="revolutoin"):
+        sweep_rows(base, cost, parse_axis("sigma_d=0.3:0.9:0.3"), None,
+                   variant="revolutoin")
+
+
+def test_solve_report_rejects_unknown_variant(p0c, cost):
+    with pytest.raises(ValueError, match="revolutoin"):
+        solve_report(p0c, cost, "revolutoin")
 
 
 def test_sweep_writes_expected_csv(p0c_config, tmp_path, capsys):

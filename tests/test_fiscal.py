@@ -112,10 +112,6 @@ def _bisected_x_max(cost, budgets):
     """The 200-step bisection that max_feasible_tau2 used for tabulated costs
     before the closed-form root, kept as its oracle: the largest investment
     whose cost fits each budget, bisected elementwise.
-
-    Pass budgets past the last knot one at a time, as a 0-d array: on longer
-    arrays numpy squares the tail term as x*x where a scalar cost.value call
-    uses pow, and the two can differ by an ulp. Inside the table they agree.
     """
     lo = np.zeros_like(budgets)
     hi = np.full_like(budgets, float(cost.knots[-1]))
@@ -168,9 +164,9 @@ def test_max_feasible_tau2_custom_matches_bisection():
         ]
         past = base.replace(tau1=tau1,
                             m=float(cum[-1] * rng.uniform(1.0001, 4.0)) / tau1)
-        x_max = [*_bisected_x_max(cost, np.array([p.tau1 * p.m for p in inside])),
-                 _bisected_x_max(cost, np.array(past.tau1 * past.m)),
-                 0.0]  # at a zero budget the oracle never moves off lo = 0
+        budgets = np.array([p.tau1 * p.m for p in inside + [past]])
+        # at a zero budget the oracle never moves off lo = 0
+        x_max = [*_bisected_x_max(cost, budgets), 0.0]
         cases = inside + [past, base.replace(tau1=0.0)]
         for params, x in zip(cases, x_max):
             oracle = _guarded_top(params, cost, float(x))
@@ -188,17 +184,11 @@ def test_max_feasible_tau2_custom_matches_bisection():
 
 
 def test_brute_force_matches_closed_form_worked_point(p0c, cost):
-    assert brute_force_tau2(p0c, cost, 0, grid_step=1e-4) \
-        == pytest.approx(0.462, abs=1e-4)
+    assert brute_force_tau2(p0c, cost, 0) == pytest.approx(0.462, abs=1e-4)
 
 
 def test_brute_force_reproduces_corner(p0a, cost):
-    assert brute_force_tau2(p0a, cost, 0, grid_step=1e-3) == p0a.tau1
-
-
-def test_brute_force_rejects_bad_step(p0c, cost):
-    with pytest.raises(ValueError):
-        brute_force_tau2(p0c, cost, 0, grid_step=0.0)
+    assert brute_force_tau2(p0a, cost, 0) == p0a.tau1
 
 
 def test_brute_force_ties_resolve_to_lowest(p0c, cost, monkeypatch):
@@ -210,7 +200,7 @@ def test_brute_force_ties_resolve_to_lowest(p0c, cost, monkeypatch):
         return np.zeros_like(np.asarray(grid, dtype=float))
 
     monkeypatch.setattr(fiscal_mod, "expected_utility_I1", flat)
-    assert fiscal_mod.brute_force_tau2(p0c, cost, 0, grid_step=1e-3) == p0c.tau1
+    assert fiscal_mod.brute_force_tau2(p0c, cost, 0) == p0c.tau1
 
 
 @settings(max_examples=40)
@@ -221,7 +211,7 @@ def test_oracle_equivalence_on_random_draws(trial):
     cost = CostSpec(kind="quadratic", c=float(rng.uniform(0.5, 5.0)))
     for gamma in (0, 1):
         sol = optimal_tau2(p, cost, gamma)
-        oracle = brute_force_tau2(p, cost, gamma, grid_step=1e-3)
+        oracle = brute_force_tau2(p, cost, gamma)
         if sol.flags.clamped_at_tau_max or sol.flags.clamped_for_feasibility:
             assert oracle == pytest.approx(sol.tau2_star, abs=2e-3)
         else:

@@ -113,11 +113,6 @@ def test_rejects_infinite_m():
         assert "range:m" in violation_codes(info.value)
 
 
-def test_validate_is_idempotent_on_model_params():
-    params = validate_params(VALID_RAW)
-    assert validate_params(params) is params
-
-
 def test_probability_range_enforced_per_field():
     for field in ("alpha", "lambda", "epsilon", "delta", "rho", "mu", "omega",
                   "sigma_d", "sigma_f"):
@@ -218,6 +213,16 @@ def test_custom_cost_requires_finite_table():
                              ((0.0, 0.5, 1.0), (0.0, nan, 0.8))):
         with pytest.raises(ValueError, match="finite"):
             CostSpec(kind="custom", knots=knots, marginals=marginals)
+
+
+def test_custom_cost_scalar_and_array_calls_agree():
+    # past the last knot too: both calls square the tail term the same way
+    cost = CostSpec(kind="custom", knots=(0.0, 0.25, 0.5, 0.75, 1.0),
+                    marginals=(0.0, 0.2, 0.5, 0.9, 1.4))
+    xs = np.random.default_rng(0).uniform(0.0, 3.0, 20_000)
+    values = cost.value(xs)
+    assert (xs > 1.0).sum() > 10_000
+    assert all(cost.value(float(x)) == v for x, v in zip(xs, values))
 
 
 def test_custom_cost_matches_quadratic_on_linear_marginal():

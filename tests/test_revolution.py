@@ -92,7 +92,7 @@ def test_variant_post_revolution_utilities(p0c):
 
 
 def test_variant_oracle_equivalence_worked_point(p0c, cost):
-    oracle = brute_force_tau2_variant(p0c, cost, 1, grid_step=1e-4)
+    oracle = brute_force_tau2_variant(p0c, cost, 1)
     assert oracle == pytest.approx(0.38, abs=1e-4)
 
 
@@ -134,7 +134,7 @@ def test_variant_solve_agrees_with_grid_oracle(trial):
     res = revolution_solve(p, cost)
     if res.flags.clamped_at_tau_max or res.flags.clamped_for_feasibility:
         return
-    oracle = brute_force_tau2_variant(p, cost, res.gamma_prime, grid_step=1e-3)
+    oracle = brute_force_tau2_variant(p, cost, res.gamma_prime)
     assert abs(res.tau2_star_prime - oracle) <= 2e-3
 
 

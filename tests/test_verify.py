@@ -45,6 +45,11 @@ def test_workers_other_than_one_rejected(workers):
         run_trials(3, seed=0, workers=workers)
 
 
+def test_unknown_variant_rejected():
+    with pytest.raises(ValueError, match="revolutoin"):
+        run_trials(3, seed=0, variant="revolutoin")
+
+
 def test_different_seeds_sample_different_points():
     a = run_trials(25, seed=1)
     b = run_trials(25, seed=2)
