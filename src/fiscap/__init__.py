@@ -19,14 +19,14 @@ from .policy import (InfeasibleInvestment, OutcomeKind, expected_utility_I1,
 from .revolution import (brute_force_tau2_variant, expected_utility_I1_variant,
                          expected_utility_O1_variant, revolution_solve,
                          revolution_threshold, variant_war_tau2)
-from .statics import (DomainExit, InvestmentRegime, JointRegime, TurnoverResponse,
-                      classify, finite_difference, investment_condition)
+from .statics import (InvestmentRegime, JointRegime, TurnoverResponse, classify,
+                      finite_difference, investment_condition)
 from .verify import PROPERTY_NAMES, render_report, run_trials
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssumptionViolation", "BargainingRegime", "CostSpec", "DomainExit",
+    "AssumptionViolation", "BargainingRegime", "CostSpec",
     "InfeasibleInvestment", "InvestmentEffect", "InvestmentRegime",
     "JointRegime", "ModelParams", "NonConvexCost", "OutcomeKind",
     "PROPERTY_NAMES", "TurnoverResponse", "UndefinedThreshold",

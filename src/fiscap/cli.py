@@ -13,7 +13,7 @@ from typing import List, Optional, Tuple
 from .bargaining import bargaining_outcome, check_bargaining_assumptions, classify_prop5
 from .fiscal import solve_equilibrium
 from .params import (AssumptionViolation, CostSpec, FIELD_ORDER, ModelParams,
-                     load_config, validate_params)
+                     parse_config_text, validate_params)
 from .revolution import (VARIANTS, _check_variant, _variant_outcomes,
                          revolution_solve)
 from .statics import classify
@@ -219,7 +219,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2 if report.failures else 0
 
         cost = parse_cost(args.cost)
-        params = load_config(args.config, bargaining=args.command == "bargain")
+        with open(args.config, "r", encoding="utf-8") as fh:
+            params = validate_params(parse_config_text(fh.read()),
+                                     bargaining=args.command == "bargain")
         if args.command == "solve":
             print(solve_report(params, cost, args.variant))
             return 0

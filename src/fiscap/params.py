@@ -1,11 +1,16 @@
 """Model primitives, assumption checks, and the investment-cost specification.
 
-Every other module takes a validated ModelParams. Validation is total: all
-violated conditions are collected and reported together, never one at a time.
+Every other module takes a validated ModelParams. The type checks its own
+ranges: every construction, `replace` and `dataclasses.replace` included,
+rejects a field outside its range with a `range:<field>` code. The model
+inequalities (rho > mu, omega > delta, ...) are checked by `check_params`,
+because the constitutional stage waives omega > delta. Validation is total:
+all violated conditions are collected and reported together, never one at
+a time.
 """
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Dict, List, Mapping, Sequence, Tuple
 
@@ -18,12 +23,12 @@ FIELD_ORDER = [
     "sigma_d", "sigma_f", "m", "tau1", "tau_max",
 ]
 KEY_TO_ATTR = {name: ("lam" if name == "lambda" else name) for name in FIELD_ORDER}
-ATTR_TO_KEY = {attr: key for key, attr in KEY_TO_ATTR.items()}
 DEFAULTS = {"m": 1.0, "tau1": 0.0, "tau_max": 1.0}
 PROBABILITY_FIELDS = [
     "alpha", "lambda", "epsilon", "delta", "rho", "mu", "omega", "sigma_d", "sigma_f",
 ]
 SAMPLE_MARGIN = 0.01  # slack sample_params leaves on every strict inequality
+MAX_M = 1e300  # income cap: payoffs (up to 2*tau2*m) and their sums stay finite
 
 
 @dataclass(frozen=True)
@@ -43,9 +48,14 @@ class ModelParams:
     tau1: float = 0.0    # initial fiscal capacity
     tau_max: float = 1.0  # upper bound on the feasible tax rate
 
+    def __post_init__(self):
+        violations = _check_ranges(self.as_dict())
+        if violations:
+            raise AssumptionViolation(violations)
+
     def as_dict(self) -> Dict[str, float]:
         """Field map keyed by the external (config-file) names."""
-        return {ATTR_TO_KEY[f.name]: getattr(self, f.name) for f in fields(self)}
+        return {key: getattr(self, attr) for key, attr in KEY_TO_ATTR.items()}
 
     def replace(self, **attrs) -> "ModelParams":
         return replace(self, **attrs)
@@ -157,8 +167,8 @@ def _check_ranges(values: Mapping[str, float]) -> List[Violation]:
         v = values[key]
         if not (0.0 <= v <= 1.0):
             found.append(Violation(f"range:{key}", f"{key}={v!r} must be in [0, 1]"))
-    if not 0.0 < values["m"] < math.inf:
-        found.append(Violation("range:m", f"m={values['m']!r} must be finite and > 0"))
+    if not 0.0 < values["m"] <= MAX_M:
+        found.append(Violation("range:m", f"m={values['m']!r} must be in (0, {MAX_M:g}]"))
     if not (0.0 <= values["tau1"] <= values["tau_max"] <= 1.0):
         found.append(Violation(
             "range:tau1",
@@ -242,11 +252,6 @@ def parse_config_text(text: str) -> Dict[str, float]:
     if violations:
         raise AssumptionViolation(violations)
     return values
-
-
-def load_config(path: str, bargaining: bool = False) -> ModelParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        return validate_params(parse_config_text(fh.read()), bargaining=bargaining)
 
 
 def sample_params(rng: np.random.Generator, bargaining: bool = False) -> ModelParams:

@@ -13,7 +13,7 @@ from typing import Dict
 
 from .conflict import civil_war_decision, turnover_probability
 from .fiscal import investment_argument, optimal_tau2
-from .params import CostSpec, ModelParams, check_params
+from .params import CostSpec, ModelParams
 
 EQUALITY_TOL = 1e-12      # knife-edge classification width
 BOUNDARY_TOL = 1e-9       # near-tie flagging width
@@ -53,13 +53,10 @@ class RegimeClassification:
 
 @dataclass(frozen=True)
 class FiniteDifference:
-    estimate: float
+    phi: float           # d(turnover)/dx
+    tau2: float          # d(tau2*)/dx
     regime_stable: bool  # false when gamma or any flag changed across probes
     corner: bool         # base point sits at the no-investment corner
-
-
-class DomainExit(ValueError):
-    """Raised when a finite-difference probe leaves the valid parameter domain."""
 
 
 def investment_condition(params: ModelParams) -> float:
@@ -99,44 +96,34 @@ def classify(params: ModelParams) -> RegimeClassification:
                                 boundary_flags=flags)
 
 
-def _solve_point(params: ModelParams, cost: CostSpec, target: str):
-    decision = civil_war_decision(params)
-    solution = optimal_tau2(params, cost, decision.gamma)
-    if target == "phi":
-        value = turnover_probability(params, decision.gamma)
-    elif target == "tau2":
-        value = solution.tau2_star
-    else:
-        raise ValueError(f"target must be 'phi' or 'tau2', got {target!r}")
-    return value, decision.gamma, solution.flags
+def _solve_point(params: ModelParams, cost: CostSpec):
+    gamma = civil_war_decision(params).gamma
+    solution = optimal_tau2(params, cost, gamma)
+    return turnover_probability(params, gamma), solution.tau2_star, gamma, solution.flags
 
 
-def finite_difference(params: ModelParams, cost: CostSpec, target: str,
-                      wrt: str) -> FiniteDifference:
-    """Central difference of phi or tau2* in alpha, lam, or sigma_d, with
-    step 1e-6*max(1, |x|) at x.
+def finite_difference(params: ModelParams, cost: CostSpec, wrt: str) -> FiniteDifference:
+    """Central differences of phi and tau2* in alpha, lam, or sigma_d, with
+    step 1e-6*max(1, |x|) at x, from one set of three solves.
 
-    regime_stable is False when the war decision or any corner/clamp flag
-    differs across the three evaluation points; such estimates straddle a
-    kink and must not be sign-checked.
+    A probe outside [0, 1] raises the constructor's AssumptionViolation
+    (range:<wrt>). regime_stable is False when the war decision or any
+    corner/clamp flag differs across the three evaluation points; such
+    estimates straddle a kink and must not be sign-checked.
     """
     attr = {"alpha": "alpha", "lambda": "lam", "sigma_d": "sigma_d"}.get(wrt)
     if attr is None:
         raise ValueError(f"wrt must be alpha, lambda, or sigma_d, got {wrt!r}")
     x = getattr(params, attr)
     h = 1e-6 * max(1.0, abs(x))
-    if x - h < 0.0 or x + h > 1.0:
-        raise DomainExit(f"{wrt}={x!r} with step {h!r} leaves [0, 1]")
     lo = params.replace(**{attr: x - h})
     hi = params.replace(**{attr: x + h})
-    for probe in (lo, hi):
-        if check_params(probe.as_dict()):
-            raise DomainExit(f"probe at {wrt}={getattr(probe, attr)!r} is invalid")
-    f_lo, g_lo, flags_lo = _solve_point(lo, cost, target)
-    f_mid, g_mid, flags_mid = _solve_point(params, cost, target)
-    f_hi, g_hi, flags_hi = _solve_point(hi, cost, target)
+    phi_lo, tau_lo, g_lo, flags_lo = _solve_point(lo, cost)
+    _, _, g_mid, flags_mid = _solve_point(params, cost)
+    phi_hi, tau_hi, g_hi, flags_hi = _solve_point(hi, cost)
     stable = (g_lo == g_mid == g_hi) and (flags_lo == flags_mid == flags_hi)
     return FiniteDifference(
-        estimate=(f_hi - f_lo) / (2.0 * h),
+        phi=(phi_hi - phi_lo) / (2.0 * h),
+        tau2=(tau_hi - tau_lo) / (2.0 * h),
         regime_stable=stable,
         corner=flags_mid.corner)

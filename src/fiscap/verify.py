@@ -241,24 +241,23 @@ def _trial_outcomes(trial: int, seed: int,
     guard = (cls.boundary_flags["near_war_threshold"]
              or cls.boundary_flags["near_corner"]
              or abs(statics.investment_condition(params)) * params.m / cost.c <= 1e-7)
-    fd_phi = statics.finite_difference(params, cost, "phi", "alpha")
-    fd_tau = statics.finite_difference(params, cost, "tau2", "alpha")
+    slopes = statics.finite_difference(params, cost, "alpha")
     interior = (not result.flags.corner
                 and not result.flags.clamped_at_tau_max
                 and not result.flags.clamped_for_feasibility)
-    if guard or not fd_phi.regime_stable or not fd_tau.regime_stable or not interior:
+    if guard or not slopes.regime_stable or not interior:
         record("regime_fd_signs", "skip", None)
     else:
-        ok = (fd_phi.estimate > 0) == (cls.prop1 is statics.TurnoverResponse.UP)
+        ok = (slopes.phi > 0) == (cls.prop1 is statics.TurnoverResponse.UP)
         if cls.prop2 is statics.InvestmentRegime.INVEST_UP:
-            ok &= fd_tau.estimate > 0
+            ok &= slopes.tau2 > 0
         elif cls.prop2 in (statics.InvestmentRegime.WAR, statics.InvestmentRegime.INVEST_DOWN):
-            ok &= fd_tau.estimate < 0
+            ok &= slopes.tau2 < 0
         else:
-            ok &= abs(fd_tau.estimate) <= 1e-8 * params.m / cost.c
+            ok &= abs(slopes.tau2) <= 1e-8 * params.m / cost.c
         check("regime_fd_signs", ok,
               f"prop1={cls.prop1.value} prop2={cls.prop2.value} "
-              f"fd_phi={fd_phi.estimate!r} fd_tau={fd_tau.estimate!r}")
+              f"fd_phi={slopes.phi!r} fd_tau={slopes.tau2!r}")
 
     # at lam=0 the investment-direction boundary is where epsilon*(1-sigma_d)=mu
     flat = params.replace(lam=0.0)

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from fiscap import (CostSpec, DomainExit, InvestmentRegime, bargaining_outcome,
+from fiscap import (AssumptionViolation, CostSpec, InvestmentRegime, bargaining_outcome,
                     brute_force_tau2, civil_war_decision, civil_war_threshold,
                     classify, expected_utility_O1, finite_difference,
                     inside_value, investment_condition, offer_value_I1,
@@ -168,8 +168,8 @@ def test_criterion_4_comparative_statics_signs(verdict):
         expected = ((params.omega - params.delta + params.rho) if gamma == 1
                     else -(params.epsilon - params.mu))
         try:
-            fd = finite_difference(params, cost, "phi", "alpha")
-        except DomainExit:
+            fd = finite_difference(params, cost, "alpha")
+        except AssumptionViolation:
             continue
         if not fd.regime_stable:
             continue
@@ -178,8 +178,8 @@ def test_criterion_4_comparative_statics_signs(verdict):
             war_seen += 1
         else:
             peace_seen += 1
-        if abs(fd.estimate - expected) > 1e-9:
-            failures.append(("phi_slope", t, fd.estimate, expected))
+        if abs(fd.phi - expected) > 1e-9:
+            failures.append(("phi_slope", t, fd.phi, expected))
     if stable < 900 or war_seen == 0 or peace_seen == 0:
         failures.append(("phi_coverage", stable, war_seen, peace_seen))
 
@@ -202,16 +202,16 @@ def test_criterion_4_comparative_statics_signs(verdict):
         if abs(slope) <= 1e-7:
             continue  # too close to the regime boundary for a sign test
         try:
-            fd = finite_difference(params, cost, "tau2", "alpha")
-        except DomainExit:
+            fd = finite_difference(params, cost, "alpha")
+        except AssumptionViolation:
             continue
         if not fd.regime_stable or fd.corner:
             continue
         sign_checked += 1
         prop2 = classify(params).prop2
         expected_positive = prop2 is InvestmentRegime.INVEST_UP
-        if (fd.estimate > 0.0) != expected_positive or fd.estimate == 0.0:
-            failures.append(("tau2_sign", t, fd.estimate, prop2.value))
+        if (fd.tau2 > 0.0) != expected_positive or fd.tau2 == 0.0:
+            failures.append(("tau2_sign", t, fd.tau2, prop2.value))
     if sign_checked < 150:
         failures.append(("too_few_sign_checks", sign_checked))
 
@@ -227,14 +227,14 @@ def test_criterion_4_comparative_statics_signs(verdict):
         if civil_war_decision(probe).gamma == 1:
             continue
         try:
-            fd = finite_difference(probe, cost, "tau2", "alpha")
-        except DomainExit:
+            fd = finite_difference(probe, cost, "alpha")
+        except AssumptionViolation:
             continue
         if not fd.regime_stable:
             continue
         evaluated += 1
-        if abs(fd.estimate) > 1e-8 * params.m / cost.c:
-            failures.append(("boundary_point", attempts - 1, fd.estimate))
+        if abs(fd.tau2) > 1e-8 * params.m / cost.c:
+            failures.append(("boundary_point", attempts - 1, fd.tau2))
     if evaluated < 100:
         failures.append(("too_few_boundary_points", evaluated))
     verdict(4, failures)
@@ -266,8 +266,8 @@ def test_criterion_5_worked_points(verdict, p0a, p0b, p0c, p1, cost):
     check("p0c_gamma", res_c.gamma, 0, tol=0)
     check("p0c_phi", res_c.phi, 0.17)
     check("p0c_tau2", res_c.tau2_star, 0.462)
-    fd = finite_difference(p0c, cost, "tau2", "alpha")
-    check("p0c_dtau2_dalpha", fd.estimate, 0.11)
+    fd = finite_difference(p0c, cost, "alpha")
+    check("p0c_dtau2_dalpha", fd.tau2, 0.11)
     if not fd.regime_stable:
         failures.append(("p0c_fd_unstable", fd))
 

@@ -1,17 +1,21 @@
 """Command surface: solve, sweep, verify, bargain; exit codes and formats."""
 
 import hashlib
+import math
 import subprocess
 import sys
+import warnings
 
 import pytest
+from hypothesis import given, strategies as st
 
 from fiscap import cli
-from fiscap.cli import (CSV_HEADER, MAX_AXIS_POINTS, main, parse_axis,
-                        parse_cost, solve_report, sweep_rows, write_sweep_csv)
-from fiscap import CostSpec, solve_equilibrium
+from fiscap.cli import (CSV_HEADER, MAX_AXIS_POINTS, bargain_report, main,
+                        parse_axis, parse_cost, solve_report, sweep_rows,
+                        write_sweep_csv)
+from fiscap import AssumptionViolation, CostSpec, solve_equilibrium, validate_params
 
-from conftest import regime_map_point
+from conftest import draw_params, regime_map_point
 
 P0C_TEXT = """\
 # interior-investment point
@@ -328,6 +332,42 @@ def test_negative_zero_never_printed():
     from fiscap.cli import _fmt
     assert _fmt(-3e-8) == "0.000000"
     assert _fmt(-0.0) == "0.000000"
+
+
+def _printed_numbers(report):
+    """Every key=value value in a report that parses as a float."""
+    numbers = []
+    for token in report.split():
+        _, eq, text = token.partition("=")
+        if not eq:
+            continue
+        try:
+            numbers.append(float(text))
+        except ValueError:
+            pass  # a label such as prop2=2.B.1
+    return numbers
+
+
+@given(st.integers(0, 10 ** 6), st.floats(-300, 300), st.floats(-300, 300),
+       st.floats(1e300, 1e308, exclude_min=True))
+def test_reports_finite_at_every_scale(trial, log_m, log_c, big_m):
+    # m and c log-uniform in [1e-300, 1e300]; m past 1e300 is out of range
+    cost = CostSpec(kind="quadratic", c=10.0 ** log_c)
+    raw = dict(draw_params(seed=61, trial=trial).as_dict(), m=10.0 ** log_m)
+    braw = dict(draw_params(seed=61, trial=trial, bargaining=True).as_dict(),
+                m=10.0 ** log_m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        params = validate_params(raw)
+        reports = [solve_report(params, cost, variant)
+                   for variant in ("baseline", "revolution")]
+        reports.append(bargain_report(validate_params(braw, bargaining=True), cost))
+    for report in reports:
+        numbers = _printed_numbers(report)
+        assert numbers and all(math.isfinite(x) for x in numbers), report
+    with pytest.raises(AssumptionViolation) as info:
+        validate_params(dict(raw, m=big_m))
+    assert {v.which for v in info.value.violations} == {"range:m"}
 
 
 def test_verify_zero_trials_exits_zero(capsys):

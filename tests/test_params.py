@@ -1,5 +1,6 @@
 """Validation, config parsing, cost specs, and the parameter sampler."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -121,6 +122,32 @@ def test_probability_range_enforced_per_field():
         with pytest.raises(AssumptionViolation) as info:
             validate_params(raw)
         assert f"range:{field}" in violation_codes(info.value)
+
+
+@pytest.mark.parametrize("build", [
+    lambda p: ModelParams(**dict(dataclasses.asdict(p), alpha=2.0)),
+    lambda p: p.replace(alpha=2.0),
+    lambda p: dataclasses.replace(p, alpha=2.0),
+], ids=["constructor", "replace", "dataclasses.replace"])
+def test_every_construction_route_checks_ranges(build):
+    params = validate_params(VALID_RAW)
+    with pytest.raises(AssumptionViolation) as info:
+        build(params)
+    assert violation_codes(info.value) == {"range:alpha"}
+
+
+def test_construction_reports_every_bad_range_together():
+    with pytest.raises(AssumptionViolation) as info:
+        ModelParams(epsilon=-0.1, sigma_d=1.5, **REGIME_MAP_BASE)
+    assert violation_codes(info.value) == {"range:epsilon", "range:sigma_d"}
+
+
+def test_construction_bounds_m():
+    base = dict(REGIME_MAP_BASE, m=1e300)
+    assert ModelParams(epsilon=0.3, sigma_d=0.9, **base).m == 1e300
+    with pytest.raises(AssumptionViolation) as info:
+        ModelParams(epsilon=0.3, sigma_d=0.9, **dict(base, m=1e301))
+    assert violation_codes(info.value) == {"range:m"}
 
 
 @given(st.integers(0, 10 ** 6))

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fiscap import (CostSpec, DomainExit, InvestmentRegime, JointRegime,
+from fiscap import (AssumptionViolation, CostSpec, InvestmentRegime, JointRegime,
                     TurnoverResponse, civil_war_threshold, classify,
                     finite_difference, investment_condition)
 
@@ -40,43 +40,44 @@ def test_classify_knife_edge_equality(p0c):
         assert abs(investment_condition(point)) <= 1e-15
 
 
-def test_boundary_flags_near_war_threshold(p0a):
-    bar = civil_war_threshold(p0a)
-    near = p0a.replace(sigma_f=bar)
+def test_boundary_flags_near_war_threshold():
+    # threshold 0.345 at this point, so sigma_f can sit on it inside [0, 1]
+    base = regime_map_point(epsilon=0.3, sigma_d=0.7)
+    bar = civil_war_threshold(base)
+    near = base.replace(sigma_f=bar)
     flags = classify(near).boundary_flags
     assert flags["near_war_threshold"]
-    assert not classify(p0a).boundary_flags["near_war_threshold"]
+    assert not classify(base).boundary_flags["near_war_threshold"]
 
 
 def test_finite_difference_phi_worked_point(p0c, cost):
-    fd = finite_difference(p0c, cost, "phi", "alpha")
-    assert fd.estimate == pytest.approx(-0.15, abs=1e-9)
+    fd = finite_difference(p0c, cost, "alpha")
+    assert fd.phi == pytest.approx(-0.15, abs=1e-9)
     assert fd.regime_stable
 
 
 def test_finite_difference_tau2_worked_point(p0c, cost):
-    fd = finite_difference(p0c, cost, "tau2", "alpha")
-    assert fd.estimate == pytest.approx(0.11, abs=1e-6)
+    fd = finite_difference(p0c, cost, "alpha")
+    assert fd.tau2 == pytest.approx(0.11, abs=1e-6)
     assert fd.regime_stable
     assert not fd.corner
 
 
 def test_finite_difference_zero_at_corner(p0a, cost):
-    fd = finite_difference(p0a, cost, "tau2", "alpha")
-    assert fd.estimate == 0.0
+    fd = finite_difference(p0a, cost, "alpha")
+    assert fd.tau2 == 0.0
     assert fd.corner
 
 
 def test_finite_difference_domain_exit(p0c, cost):
-    with pytest.raises(DomainExit):
-        finite_difference(p0c.replace(alpha=5e-7), cost, "phi", "alpha")
+    with pytest.raises(AssumptionViolation) as exc:
+        finite_difference(p0c.replace(alpha=5e-7), cost, "alpha")
+    assert [v.which for v in exc.value.violations] == ["range:alpha"]
 
 
 def test_finite_difference_rejects_bad_axis(p0c, cost):
     with pytest.raises(ValueError):
-        finite_difference(p0c, cost, "phi", "rho")
-    with pytest.raises(ValueError):
-        finite_difference(p0c, cost, "psi", "alpha")
+        finite_difference(p0c, cost, "rho")
 
 
 def test_finite_difference_flags_regime_flip(cost):
@@ -92,7 +93,7 @@ def test_finite_difference_flags_regime_flip(cost):
             lo = mid
     straddle = regime_map_point(epsilon=0.3, sigma_d=(lo + hi) / 2)
     # the point sits within 1e-12 of the boundary, inside the default step
-    fd = finite_difference(straddle, cost, "phi", "sigma_d")
+    fd = finite_difference(straddle, cost, "sigma_d")
     assert not fd.regime_stable
 
 
@@ -114,25 +115,24 @@ def test_fd_signs_match_classification(trial):
     cost = CostSpec(kind="quadratic", c=1.0)
     cls = classify(p)
     try:
-        fd_phi = finite_difference(p, cost, "phi", "alpha")
-        fd_tau = finite_difference(p, cost, "tau2", "alpha")
-    except DomainExit:
+        fd = finite_difference(p, cost, "alpha")
+    except AssumptionViolation:
         return
-    if not (fd_phi.regime_stable and fd_tau.regime_stable):
+    if not fd.regime_stable:
         return
     if cls.prop1 is TurnoverResponse.UP:
-        assert fd_phi.estimate > 0
+        assert fd.phi > 0
     else:
-        assert fd_phi.estimate < 0
-    if fd_tau.corner:
+        assert fd.phi < 0
+    if fd.corner:
         return
     cond = investment_condition(p)
     if abs(cond) * p.m <= 1e-7:  # below the difference quotient's resolution
         return
     if cls.prop2 is InvestmentRegime.INVEST_UP:
-        assert fd_tau.estimate > 0
+        assert fd.tau2 > 0
     elif cls.prop2 in (InvestmentRegime.WAR, InvestmentRegime.INVEST_DOWN):
-        assert fd_tau.estimate < 0
+        assert fd.tau2 < 0
 
 
 @settings(max_examples=50)
