@@ -152,7 +152,7 @@ def _trial_outcomes(trial: int, seed: int,
           "scaling m did not scale transfers/utilities")
 
     # the closed-form threshold and the direct comparison agree when defined
-    threshold = conflict.civil_war_threshold(params)
+    threshold = result.sigma_f_bar
     if threshold is None:
         record("threshold_decision_agreement", "skip", None)
     else:
@@ -266,14 +266,14 @@ def _trial_outcomes(trial: int, seed: int,
     if hi_eps >= 1.0 or lo_eps <= flat.mu:
         record("invest_boundary_lambda_zero", "skip", None)
     else:
-        lo_p, hi_p = flat.replace(epsilon=lo_eps), flat.replace(epsilon=hi_eps)
-        if (conflict.civil_war_decision(lo_p).gamma == 1
-                or conflict.civil_war_decision(hi_p).gamma == 1):
+        lo_2 = statics.classify(flat.replace(epsilon=lo_eps)).prop2
+        hi_2 = statics.classify(flat.replace(epsilon=hi_eps)).prop2
+        if statics.InvestmentRegime.WAR in (lo_2, hi_2):
             record("invest_boundary_lambda_zero", "skip", None)
         else:
             check("invest_boundary_lambda_zero",
-                  statics.classify(lo_p).prop2 is statics.InvestmentRegime.INVEST_DOWN
-                  and statics.classify(hi_p).prop2 is statics.InvestmentRegime.INVEST_UP,
+                  lo_2 is statics.InvestmentRegime.INVEST_DOWN
+                  and hi_2 is statics.InvestmentRegime.INVEST_UP,
                   "labels did not flip across the boundary")
 
     # constitutional stage: share validity and the binding acceptance constraint
@@ -325,7 +325,7 @@ def _trial_outcomes(trial: int, seed: int,
           f"decision varied with tau2 at offer {offer_probe!r}")
 
     # the revolution rule never raises the war threshold
-    t_prime = revolution.revolution_threshold(params)
+    t_prime = vresult.sigma_f_bar_prime
     if threshold is None or t_prime is None:
         record("variant_threshold_ordering", "skip", None)
     else:

@@ -1,17 +1,21 @@
 """Shared fixtures: the worked parameter points used across the suite."""
 
+from dataclasses import asdict
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from fiscap import CostSpec, ModelParams, sample_params
+from fiscap import CostSpec, ModelParams, parse_config_text, sample_params, validate_params
 
 settings.register_profile("suite", derandomize=True, max_examples=60)
 settings.load_profile("suite")
 
-# shared base point for the regime-map grid; epsilon and sigma_d vary per point
-REGIME_MAP_BASE = dict(alpha=0.5, rho=0.5, omega=0.5, delta=0.4, mu=0.1, sigma_f=0.1,
-            lam=0.0, m=1.0, tau1=0.2)
+# the paper's regime-map base point, as committed; epsilon and sigma_d vary per point
+REGIME_MAP_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "regime_map.cfg"
+_regime_map = asdict(validate_params(parse_config_text(REGIME_MAP_CONFIG.read_text())))
+REGIME_MAP_BASE = {k: v for k, v in _regime_map.items() if k not in ("epsilon", "sigma_d")}
 
 
 def regime_map_point(epsilon: float, sigma_d: float) -> ModelParams:

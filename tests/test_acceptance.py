@@ -23,11 +23,11 @@ from fiscap import (AssumptionViolation, CostSpec, InvestmentRegime, bargaining_
                     reject_value_I1, reservation_value, revolution_solve,
                     revolution_threshold, sample_params, solve_equilibrium)
 from fiscap.bargaining import BargainingRegime
-from fiscap.cli import CSV_HEADER, parse_axis, sweep_rows
+from fiscap.cli import CSV_HEADER, main
 from fiscap.conflict import THRESHOLD_COMPARISON
 from fiscap.policy import OutcomeKind
 
-from conftest import regime_map_point
+from conftest import REGIME_MAP_CONFIG
 
 
 @pytest.fixture
@@ -328,17 +328,30 @@ def test_criterion_6_bargained_share_monotone(verdict):
     verdict(6, failures)
 
 
-def test_criterion_7_regime_map_replication(verdict, cost):
-    """The 101 x 91 sweep over (sigma_d, epsilon) splits the rectangle along
-    the analytic war and investment boundaries (within one grid cell), its
-    rows are identical across runs, and its CSV is the pinned regime map."""
+def test_criterion_7_regime_map_replication(verdict, tmp_path):
+    """The documented `fiscap sweep` of configs/regime_map.cfg over the
+    101 x 91 (sigma_d, epsilon) grid splits the rectangle along the analytic
+    war and investment boundaries (within one grid cell), writes the same
+    bytes on a rerun, and its CSV is the pinned regime map."""
     failures = []
-    base = regime_map_point(epsilon=0.3, sigma_d=0.5)
-    axis1 = parse_axis("sigma_d=0:1:0.01")
-    axis2 = parse_axis("epsilon=0.1:1:0.01")
-    rows = sweep_rows(base, cost, axis1, axis2)
+
+    def sweep(name):
+        out = tmp_path / name
+        code = main(["sweep", "--config", str(REGIME_MAP_CONFIG),
+                     "--axis1", "sigma_d=0:1:0.01", "--axis2", "epsilon=0.1:1:0.01",
+                     "--out", str(out)])
+        if code != 0:
+            failures.append(("exit_code", name, code))
+        return out.read_bytes() if out.exists() else b""
+
+    csv = sweep("regime_map.csv")
+    lines = csv.decode().splitlines()
+    rows = lines[1:]
+    if lines[:1] != [CSV_HEADER]:
+        failures.append(("header", lines[:1]))
     if len(rows) != 101 * 91:
         failures.append(("row_count", len(rows)))
+        verdict(7, failures)
 
     # analytic boundaries for the sweep's base parameters
     # (alpha=.5, rho=.5, mu=.1, omega=.5, delta=.4, lam=0, sigma_f=.1)
@@ -399,11 +412,9 @@ def test_criterion_7_regime_map_replication(verdict, cost):
         if count == 0:
             failures.append(("region_missing", label))
 
-    rows_again = sweep_rows(base, cost, axis1, axis2)
-    if rows != rows_again:
+    if sweep("regime_map_again.csv") != csv:
         failures.append(("rerun_mismatch",))
-    csv = CSV_HEADER + "\n" + "".join(row + "\n" for row in rows)
-    digest = hashlib.sha256(csv.encode()).hexdigest()
+    digest = hashlib.sha256(csv).hexdigest()
     # perfbench/reference.json's regime_map digest
     if digest != "9ad657d3f8f2b577a1d0bbdcefb3d17dede34bc2ed54f0494ff117e1bf9db401":
         failures.append(("regime_map_digest", digest))

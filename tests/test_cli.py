@@ -2,9 +2,11 @@
 
 import hashlib
 import math
+import shlex
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,7 +17,7 @@ from fiscap.cli import (CSV_HEADER, MAX_AXIS_POINTS, bargain_report, main,
                         write_sweep_csv)
 from fiscap import AssumptionViolation, CostSpec, solve_equilibrium, validate_params
 
-from conftest import draw_params, regime_map_point
+from conftest import REGIME_MAP_CONFIG, draw_params, regime_map_point
 
 P0C_TEXT = """\
 # interior-investment point
@@ -47,19 +49,7 @@ tau1 = 0.2
 """
 
 # regime-map base point; the swept sigma_d and epsilon values replace these
-REGIME_MAP_TEXT = """\
-alpha = 0.5
-lambda = 0
-epsilon = 0.3
-delta = 0.4
-rho = 0.5
-mu = 0.1
-omega = 0.5
-sigma_d = 0.5
-sigma_f = 0.1
-m = 1
-tau1 = 0.2
-"""
+REGIME_MAP_TEXT = REGIME_MAP_CONFIG.read_text()
 
 
 @pytest.fixture
@@ -399,3 +389,22 @@ def test_console_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "result: PASS" in proc.stdout
+
+
+def test_readme_commands_parse():
+    # every `fiscap ...` line of README's fenced blocks, `\` continuations
+    # joined and `#` comments dropped, must still parse
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    commands, fenced = [], False
+    for line in text.replace("\\\n", " ").splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced and line.startswith("fiscap "):
+            commands.append(shlex.split(line, comments=True)[1:])
+    parser = cli._build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: fiscap {shlex.join(argv)}")
+    assert {argv[0] for argv in commands} == {"solve", "sweep", "verify", "bargain"}

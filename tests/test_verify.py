@@ -1,5 +1,7 @@
 """The randomized property harness: determinism, accounting, and clean runs."""
 
+import hashlib
+
 import pytest
 
 from fiscap import PROPERTY_NAMES, render_report, run_trials
@@ -31,6 +33,8 @@ def test_small_run_passes_with_full_accounting():
                if k.startswith("regime[")) == trials
     assert sum(v for k, v in report.regime_counts.items()
                if k.startswith("bargaining[")) == trials
+    assert hashlib.sha256(render_report(report).encode()).hexdigest() == (
+        "81c5252039cc6953fe56fd26a85c0c94d2dc94f73ccebd6ed920779b5b6ada4f")
 
 
 def test_report_is_deterministic_across_runs():
@@ -62,3 +66,5 @@ def test_variant_suite_runs_clean():
     assert "variant=revolution" in render_report(report)
     for name, stats in report.properties.items():
         assert stats.passed + stats.failed + stats.skipped == 40, name
+    assert hashlib.sha256(render_report(report).encode()).hexdigest() == (
+        "45ef0779494ba145ec0d3e75e9b62c88660d546ae927b4391ffaf2088496c5f8")
