@@ -14,9 +14,8 @@ from .bargaining import bargaining_outcome, check_bargaining_assumptions, classi
 from .fiscal import solve_equilibrium
 from .params import (AssumptionViolation, CostSpec, FIELD_ORDER, ModelParams,
                      parse_config_text, validate_params)
-from .revolution import (VARIANTS, _check_variant, _variant_outcomes,
-                         revolution_solve)
-from .statics import classify
+from .revolution import VARIANTS, _check_variant, revolution_solve
+from .statics import _labels, classify, investment_condition
 from .verify import render_report, run_trials
 
 CSV_HEADER = ("axis1,axis2,gamma,sigma_f_bar,phi,tau2_star,"
@@ -71,18 +70,19 @@ def parse_axis(text: str) -> Axis:
     return Axis(name=name, values=tuple(start + i * step for i in range(count)))
 
 
-def _solve_any(params: ModelParams, cost: CostSpec, variant: str):
-    """Returns (gamma, sigma_f_bar, phi, tau2_star, labels, flags, result) per
-    variant, where result is the variant's own solve result."""
+def _solve_labelled(params: ModelParams, cost: CostSpec, variant: str):
+    """The variant's Solution and its (prop1, prop2, prop3) label values."""
     if variant == "revolution":
-        res = revolution_solve(params, cost)
-        labels = (res.prop1a.value, res.prop2a.value, res.prop3a.value)
-        return (res.gamma_prime, res.sigma_f_bar_prime, res.phi_prime,
-                res.tau2_star_prime, labels, res.flags, res)
-    res = solve_equilibrium(params, cost)
-    cls = classify(params)
-    labels = (cls.prop1.value, cls.prop2.value, cls.prop3.value)
-    return (res.gamma, res.sigma_f_bar, res.phi, res.tau2_star, labels, res.flags, res)
+        sol = revolution_solve(params, cost)
+        labels = _labels(sol.gamma, investment_condition(params))
+    else:
+        sol = solve_equilibrium(params, cost)
+        # classify makes a second war decision; it stays until ROADMAP item 8
+        # replaces the pinned civil_war_decision call count
+        cls = classify(params)
+        labels = cls.prop1, cls.prop2, cls.prop3
+    prop1, prop2, prop3 = labels
+    return sol, (prop1.value, prop2.value, prop3.value)
 
 
 def _policy_line(label: str, out) -> str:
@@ -93,26 +93,20 @@ def _policy_line(label: str, out) -> str:
 
 def solve_report(params: ModelParams, cost: CostSpec, variant: str = "baseline") -> str:
     _check_variant(variant)
-    gamma, sigma_f_bar, phi, tau2_star, labels, flags, res = _solve_any(
-        params, cost, variant)
-    prop1, prop2, prop3 = labels
-    clamped = flags.clamped_at_tau_max or flags.clamped_for_feasibility
-    if variant == "revolution":
-        period1, period2, eu_i1, eu_o1 = _variant_outcomes(params, cost, res)
-    else:
-        eu_i1, eu_o1 = res.eu_I1, res.eu_O1
-        period1, period2 = res.period1, res.period2_by_kind
+    sol, (prop1, prop2, prop3) = _solve_labelled(params, cost, variant)
+    clamped = sol.flags.clamped_at_tau_max or sol.flags.clamped_for_feasibility
     lines = [
-        f"gamma={gamma} phi={_fmt(phi)} tau2_star={_fmt(tau2_star)} prop2={prop2}",
-        "sigma_f_bar=undefined" if sigma_f_bar is None
-        else f"sigma_f_bar={_fmt(sigma_f_bar)}",
+        f"gamma={sol.gamma} phi={_fmt(sol.phi)} tau2_star={_fmt(sol.tau2_star)} "
+        f"prop2={prop2}",
+        "sigma_f_bar=undefined" if sol.sigma_f_bar is None
+        else f"sigma_f_bar={_fmt(sol.sigma_f_bar)}",
         f"prop1={prop1} prop3={prop3}",
-        f"corner={int(flags.corner)} clamped={int(clamped)}",
-        _policy_line("period1", period1),
+        f"corner={int(sol.flags.corner)} clamped={int(clamped)}",
+        _policy_line("period1", sol.period1),
     ]
     lines.extend(_policy_line(f"period2[{kind.value}]", out)
-                 for kind, out in period2.items())
-    lines.append(f"eu_I1={_fmt(eu_i1)} eu_O1={_fmt(eu_o1)}")
+                 for kind, out in sol.period2_by_kind.items())
+    lines.append(f"eu_I1={_fmt(sol.eu_I1)} eu_O1={_fmt(sol.eu_O1)}")
     return "\n".join(lines)
 
 
@@ -159,13 +153,12 @@ def sweep_rows(params: ModelParams, cost: CostSpec, axis1: Axis,
             except AssumptionViolation:
                 rows.append(f"{_fmt(v1)},{axis2_text},,,,,,,,,,invalid")
                 continue
-            gamma, sigma_f_bar, phi, tau2_star, labels, flags, _ = _solve_any(
-                p, cost, variant)
-            clamped = flags.clamped_at_tau_max or flags.clamped_for_feasibility
-            bar = "" if sigma_f_bar is None else _fmt(sigma_f_bar)
-            rows.append(f"{_fmt(v1)},{axis2_text},{gamma},{bar},{_fmt(phi)},"
-                        f"{_fmt(tau2_star)},{labels[0]},{labels[1]},{labels[2]},"
-                        f"{int(flags.corner)},{int(clamped)},ok")
+            sol, labels = _solve_labelled(p, cost, variant)
+            clamped = sol.flags.clamped_at_tau_max or sol.flags.clamped_for_feasibility
+            bar = "" if sol.sigma_f_bar is None else _fmt(sol.sigma_f_bar)
+            rows.append(f"{_fmt(v1)},{axis2_text},{sol.gamma},{bar},{_fmt(sol.phi)},"
+                        f"{_fmt(sol.tau2_star)},{labels[0]},{labels[1]},{labels[2]},"
+                        f"{int(sol.flags.corner)},{int(clamped)},ok")
     return rows
 
 

@@ -3,22 +3,27 @@
 optimal_tau2 inverts the marginal cost at the closed-form marginal benefit;
 brute_force_tau2 maximizes the same expected utility on a grid and exists
 purely as an independent check. solve_equilibrium chains the war decision,
-turnover, investment, and policies into one result.
+turnover, investment, and policies into one Solution, the record the
+revolution variant's solve returns too.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from .conflict import civil_war_decision, turnover_probability
+from .conflict import ConflictDecision, civil_war_decision, turnover_probability
 from .params import CostSpec, ModelParams
-from .policy import (OutcomeKind, PolicyOutcome, expected_utility_I1,
-                     expected_utility_O1, period1_policy, period2_policy)
+from .policy import (OutcomeKind, PolicyOutcome, _expected_I1, _mixture,
+                     expected_utility_I1, period1_policy, period2_policy)
 
-BASELINE_KINDS = (OutcomeKind.INCUMBENT_RETAINS, OutcomeKind.OPPOSITION_RULES,
-                  OutcomeKind.FOREIGN_ADMINISTRATION)
+# period-2 rulers a solve reports, in OutcomeKind order, by the ruler an
+# opposition that takes power on the war branch becomes; built once
+_RULERS = {war_ruler: tuple(k for k in OutcomeKind
+                            if k is not OutcomeKind.OPPOSITION_RULES_POST_REVOLUTION
+                            or k is war_ruler)
+           for war_ruler in OutcomeKind}
 GRID_STEP = 1e-4  # spacing of the grid oracles' tau2 grid
 
 
@@ -37,16 +42,20 @@ class Tau2Solution:
 
 
 @dataclass(frozen=True)
-class EquilibriumResult:
+class Solution:
+    """One solved parameter point, in either variant."""
+
     gamma: int
-    sigma_f_bar: Optional[float]
+    sigma_f_bar: Optional[float]  # war threshold on sigma_f; None when undefined
+    method: str                   # the war decision's route
     phi: float
     tau2_star: float
+    argument: float               # marginal benefit handed to the clamp
+    flags: SolveFlags
     period1: PolicyOutcome
-    period2_by_kind: Dict[OutcomeKind, PolicyOutcome]
+    period2_by_kind: Dict[OutcomeKind, PolicyOutcome]  # the variant's rulers
     eu_I1: float
     eu_O1: float
-    flags: SolveFlags
 
 
 def inverse_marginal(cost: CostSpec, y: float) -> float:
@@ -193,27 +202,28 @@ def brute_force_tau2(params: ModelParams, cost: CostSpec, gamma: int) -> float:
     return _grid_argmax(expected_utility_I1, params, cost, gamma)
 
 
-def _outcomes(params: ModelParams, cost: CostSpec, tau2: float, war: bool,
-              kinds: Iterable[OutcomeKind], eu_I1: Callable, eu_O1: Callable):
-    """Period-1 policy, period-2 policy per ruler kind, and the expected
-    utilities eu_I1 and eu_O1 at capacity tau2."""
-    period1 = period1_policy(params.tau1, tau2, params.sigma_d, params.m, cost)
-    period2 = {kind: period2_policy(kind, tau2, params.sigma_d, params.sigma_f, params.m)
-               for kind in kinds}
-    return period1, period2, eu_I1(params, cost, tau2, war), eu_O1(params, tau2, war)
+def _solution(params: ModelParams, cost: CostSpec, decision: ConflictDecision,
+              tau2_solution: Tau2Solution, war_ruler: OutcomeKind) -> Solution:
+    """The solve's record, with policies and utilities at the chosen capacity,
+    when an opposition that takes power on the war branch rules as `war_ruler`."""
+    gamma, tau2 = decision.gamma, tau2_solution.tau2_star
+    war = gamma == 1
+    p = params
+    # the sweep discards the policies and utilities; they stay until ROADMAP
+    # item 8 replaces the pinned indirect_utility call count
+    return Solution(
+        gamma=gamma, sigma_f_bar=decision.threshold, method=decision.method,
+        phi=turnover_probability(params, gamma), tau2_star=tau2,
+        argument=tau2_solution.argument, flags=tau2_solution.flags,
+        period1=period1_policy(p.tau1, tau2, p.sigma_d, p.m, cost),
+        period2_by_kind={kind: period2_policy(kind, tau2, p.sigma_d, p.sigma_f, p.m)
+                         for kind in _RULERS[war_ruler]},
+        eu_I1=_expected_I1(params, cost, tau2, war, war_ruler),
+        eu_O1=_mixture(params, "O1", tau2, war, war_ruler))
 
 
-def solve_equilibrium(params: ModelParams, cost: CostSpec) -> EquilibriumResult:
+def solve_equilibrium(params: ModelParams, cost: CostSpec) -> Solution:
     """Full backward-induction solve for one parameter point."""
     decision = civil_war_decision(params)
-    gamma = decision.gamma
-    phi = turnover_probability(params, gamma)
-    solution = optimal_tau2(params, cost, gamma)
-    tau2 = solution.tau2_star
-    period1, period2, eu_i1, eu_o1 = _outcomes(
-        params, cost, tau2, gamma == 1, BASELINE_KINDS,
-        expected_utility_I1, expected_utility_O1)
-    return EquilibriumResult(
-        gamma=gamma, sigma_f_bar=decision.threshold, phi=phi, tau2_star=tau2,
-        period1=period1, period2_by_kind=period2, eu_I1=eu_i1, eu_O1=eu_o1,
-        flags=solution.flags)
+    return _solution(params, cost, decision, optimal_tau2(params, cost, decision.gamma),
+                     OutcomeKind.OPPOSITION_RULES)

@@ -9,40 +9,25 @@ cohesiveness, where the rule pays nothing anyway). The peace branch is
 untouched: with no war there is no revolution, and the baseline peace
 solution applies bit for bit.
 
-The utilities, clamps, grid oracle, decision cross-check and regime labels
-are the baseline's. Only the war threshold and the war-branch marginal
-benefit of capacity have closed forms of their own here; they are the
-independent routes the property suite checks the shared code against.
+The utilities, clamps, grid oracle, decision cross-check, regime labels and
+the solve record are the baseline's: revolution_solve returns the same
+fiscal.Solution as solve_equilibrium, with a fourth period-2 ruler. Only the
+war threshold and the war-branch marginal benefit of capacity have closed
+forms of their own here; they are the independent routes the property suite
+checks the shared code against.
 """
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .conflict import _decide, turnover_probability
-from .fiscal import (SolveFlags, Tau2Solution, _clamped, _grid_argmax,
-                     _outcomes, optimal_tau2)
+from .fiscal import Solution, Tau2Solution, _clamped, _grid_argmax, _solution, optimal_tau2
 from .params import CostSpec, ModelParams
 from .policy import OutcomeKind, _expected_I1, _mixture
-from .statics import (InvestmentRegime, JointRegime, TurnoverResponse, _labels,
-                      investment_condition)
 
 # the ruler an opposition that wins power on the war branch becomes
 WAR_RULER = OutcomeKind.OPPOSITION_RULES_POST_REVOLUTION
 # solver variants by name: the baseline game and this one
 VARIANTS = ("baseline", "revolution")
-
-
-@dataclass(frozen=True)
-class VariantResult:
-    sigma_f_bar_prime: Optional[float]
-    gamma_prime: int
-    phi_prime: float
-    tau2_star_prime: float
-    prop1a: TurnoverResponse
-    prop2a: InvestmentRegime
-    prop3a: JointRegime
-    flags: SolveFlags
-    method: str
 
 
 def _check_variant(variant: str) -> None:
@@ -94,17 +79,12 @@ def variant_war_tau2(params: ModelParams, cost: CostSpec) -> Tau2Solution:
     return _clamped(params, cost, argument)
 
 
-def _tau2_solution(params: ModelParams, cost: CostSpec, gamma: int) -> Tau2Solution:
-    """The variant's capacity solution on the branch the decision picked."""
-    return variant_war_tau2(params, cost) if gamma == 1 else optimal_tau2(params, cost, 0)
-
-
 def brute_force_tau2_variant(params: ModelParams, cost: CostSpec, gamma: int) -> float:
     """Grid argmax of the variant expected utility (lowest tau2 on ties)."""
     return _grid_argmax(expected_utility_I1_variant, params, cost, gamma)
 
 
-def revolution_solve(params: ModelParams, cost: CostSpec) -> VariantResult:
+def revolution_solve(params: ModelParams, cost: CostSpec) -> Solution:
     """Full solve under the revolution rule.
 
     The war decision comes from the variant utilities directly (threshold as
@@ -112,19 +92,6 @@ def revolution_solve(params: ModelParams, cost: CostSpec) -> VariantResult:
     investment solution unchanged.
     """
     decision = _decide(params, expected_utility_O1_variant, revolution_threshold)
-    gamma = decision.gamma
-    phi = turnover_probability(params, gamma)
-    solution = _tau2_solution(params, cost, gamma)
-    prop1a, prop2a, prop3a = _labels(gamma, investment_condition(params))
-    return VariantResult(
-        sigma_f_bar_prime=decision.threshold, gamma_prime=gamma, phi_prime=phi,
-        tau2_star_prime=solution.tau2_star, prop1a=prop1a, prop2a=prop2a,
-        prop3a=prop3a, flags=solution.flags, method=decision.method)
-
-
-def _variant_outcomes(params: ModelParams, cost: CostSpec, result: VariantResult):
-    """Period-1 policy, period-2 policy for every ruler kind, and both
-    expected utilities at a revolution_solve result."""
-    return _outcomes(params, cost, result.tau2_star_prime, result.gamma_prime == 1,
-                     OutcomeKind, expected_utility_I1_variant,
-                     expected_utility_O1_variant)
+    tau2_solution = (variant_war_tau2(params, cost) if decision.gamma == 1
+                     else optimal_tau2(params, cost, 0))
+    return _solution(params, cost, decision, tau2_solution, WAR_RULER)

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict
 
-from .conflict import civil_war_decision, turnover_probability
-from .fiscal import investment_argument, optimal_tau2
+from .conflict import civil_war_decision
+from .fiscal import investment_argument, solve_equilibrium
 from .params import CostSpec, ModelParams
 
 EQUALITY_TOL = 1e-12      # knife-edge classification width
@@ -96,12 +96,6 @@ def classify(params: ModelParams) -> RegimeClassification:
                                 boundary_flags=flags)
 
 
-def _solve_point(params: ModelParams, cost: CostSpec):
-    gamma = civil_war_decision(params).gamma
-    solution = optimal_tau2(params, cost, gamma)
-    return turnover_probability(params, gamma), solution.tau2_star, gamma, solution.flags
-
-
 def finite_difference(params: ModelParams, cost: CostSpec, wrt: str) -> FiniteDifference:
     """Central differences of phi and tau2* in alpha, lam, or sigma_d, with
     step 1e-6*max(1, |x|) at x, from one set of three solves.
@@ -118,12 +112,11 @@ def finite_difference(params: ModelParams, cost: CostSpec, wrt: str) -> FiniteDi
     h = 1e-6 * max(1.0, abs(x))
     lo = params.replace(**{attr: x - h})
     hi = params.replace(**{attr: x + h})
-    phi_lo, tau_lo, g_lo, flags_lo = _solve_point(lo, cost)
-    _, _, g_mid, flags_mid = _solve_point(params, cost)
-    phi_hi, tau_hi, g_hi, flags_hi = _solve_point(hi, cost)
-    stable = (g_lo == g_mid == g_hi) and (flags_lo == flags_mid == flags_hi)
+    lo_s, mid_s, hi_s = (solve_equilibrium(q, cost) for q in (lo, params, hi))
+    stable = (lo_s.gamma == mid_s.gamma == hi_s.gamma
+              and lo_s.flags == mid_s.flags == hi_s.flags)
     return FiniteDifference(
-        phi=(phi_hi - phi_lo) / (2.0 * h),
-        tau2=(tau_hi - tau_lo) / (2.0 * h),
+        phi=(hi_s.phi - lo_s.phi) / (2.0 * h),
+        tau2=(hi_s.tau2_star - lo_s.tau2_star) / (2.0 * h),
         regime_stable=stable,
-        corner=flags_mid.corner)
+        corner=mid_s.flags.corner)

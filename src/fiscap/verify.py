@@ -96,22 +96,22 @@ def _trial_outcomes(trial: int, seed: int,
     def check(name: str, ok: bool, detail: str = ""):
         record(name, "pass" if ok else "fail", None if ok else detail)
 
-    use_variant = variant == "revolution"
     result = fiscal.solve_equilibrium(params, cost)
     vresult = revolution.revolution_solve(params, cost)
-    if use_variant:
-        gamma, tau2_star, flags = vresult.gamma_prime, vresult.tau2_star_prime, vresult.flags
+    if variant == "revolution":
+        sol = vresult
         eu_I1, brute_force = (revolution.expected_utility_I1_variant,
                               revolution.brute_force_tau2_variant)
-        closed = revolution._tau2_solution(params, cost, gamma)
     else:
-        gamma, tau2_star, flags = result.gamma, result.tau2_star, result.flags
+        sol = result
         eu_I1, brute_force = policy.expected_utility_I1, fiscal.brute_force_tau2
-        closed = fiscal.optimal_tau2(params, cost, gamma)
+    gamma, tau2_star, flags = sol.gamma, sol.tau2_star, sol.flags
     war = gamma == 1
 
-    # budget identities on every policy the solve emits, plus all period-2 kinds
-    outs = [result.period1] + list(result.period2_by_kind.values())
+    # budget identities on every policy both solves emit, plus a
+    # post-revolution policy at a probe capacity
+    outs = [result.period1, *result.period2_by_kind.values(),
+            vresult.period1, *vresult.period2_by_kind.values()]
     outs.append(policy.period2_policy(policy.OutcomeKind.OPPOSITION_RULES_POST_REVOLUTION,
                                       tau2_probe, params.sigma_d, params.sigma_f, params.m))
     check("budget_identity", all(_budget_ok(o, params.m) for o in outs),
@@ -231,21 +231,20 @@ def _trial_outcomes(trial: int, seed: int,
     if clamped:
         record("corner_consistency", "skip", None)
     else:
-        agree = (flags.corner == (closed.argument <= 0.0)
+        agree = (flags.corner == (sol.argument <= 0.0)
                  == (abs(tau2_star - params.tau1) == 0.0))
         check("corner_consistency", agree,
-              f"corner={flags.corner} argument={closed.argument!r} tau2={tau2_star!r}")
+              f"corner={flags.corner} argument={sol.argument!r} tau2={tau2_star!r}")
 
     # finite-difference signs match the regime labels (baseline solver)
     cls = statics.classify(params)
     guard = (cls.boundary_flags["near_war_threshold"]
              or cls.boundary_flags["near_corner"]
              or abs(statics.investment_condition(params)) * params.m / cost.c <= 1e-7)
-    slopes = statics.finite_difference(params, cost, "alpha")
-    interior = (not result.flags.corner
-                and not result.flags.clamped_at_tau_max
-                and not result.flags.clamped_for_feasibility)
-    if guard or not slopes.regime_stable or not interior:
+    skip = (guard or result.flags.corner or result.flags.clamped_at_tau_max
+            or result.flags.clamped_for_feasibility)
+    slopes = None if skip else statics.finite_difference(params, cost, "alpha")
+    if slopes is None or not slopes.regime_stable:
         record("regime_fd_signs", "skip", None)
     else:
         ok = (slopes.phi > 0) == (cls.prop1 is statics.TurnoverResponse.UP)
@@ -325,7 +324,7 @@ def _trial_outcomes(trial: int, seed: int,
           f"decision varied with tau2 at offer {offer_probe!r}")
 
     # the revolution rule never raises the war threshold
-    t_prime = vresult.sigma_f_bar_prime
+    t_prime = vresult.sigma_f_bar
     if threshold is None or t_prime is None:
         record("variant_threshold_ordering", "skip", None)
     else:
@@ -340,48 +339,44 @@ def _trial_outcomes(trial: int, seed: int,
     same_threshold = ((t0 is None and t0p is None)
                       or (t0 is not None and t0p is not None and abs(t0 - t0p) <= 1e-12))
     check("variant_equal_at_zero_cohesion",
-          same_threshold and base0.gamma == var0.gamma_prime
-          and base0.tau2_star == var0.tau2_star_prime,
-          f"baseline={base0.tau2_star!r} variant={var0.tau2_star_prime!r}")
+          same_threshold and base0.gamma == var0.gamma
+          and base0.tau2_star == var0.tau2_star,
+          f"baseline={base0.tau2_star!r} variant={var0.tau2_star!r}")
 
     # without a war there is no revolution: peace solves are identical
-    if vresult.gamma_prime == 1:
+    if vresult.gamma == 1:
         record("variant_peace_identity", "skip", None)
     else:
         check("variant_peace_identity",
-              result.gamma == 0 and vresult.tau2_star_prime == result.tau2_star,
-              f"variant={vresult.tau2_star_prime!r} baseline={result.tau2_star!r}")
+              result.gamma == 0 and vresult.tau2_star == result.tau2_star,
+              f"variant={vresult.tau2_star!r} baseline={result.tau2_star!r}")
 
     # interior variant war solutions move against external risk at known slope
-    if vresult.gamma_prime == 0:
+    vflags = vresult.flags
+    if (vresult.gamma == 0 or vflags.corner or vflags.clamped_at_tau_max
+            or vflags.clamped_for_feasibility):
         record("variant_war_derivative", "skip", None)
     else:
         h = 1e-6
         expected = -params.m * (params.omega - params.delta + params.rho) / cost.c
         lo_v = revolution.revolution_solve(params.replace(alpha=params.alpha - h), cost)
         hi_v = revolution.revolution_solve(params.replace(alpha=params.alpha + h), cost)
-        stable = (lo_v.gamma_prime == hi_v.gamma_prime == 1
-                  and lo_v.flags == hi_v.flags == vresult.flags
-                  and not vresult.flags.corner
-                  and not vresult.flags.clamped_at_tau_max
-                  and not vresult.flags.clamped_for_feasibility)
-        if not stable:
+        if not (lo_v.gamma == hi_v.gamma == 1 and lo_v.flags == hi_v.flags == vflags):
             record("variant_war_derivative", "skip", None)
         else:
-            fd = (hi_v.tau2_star_prime - lo_v.tau2_star_prime) / (2.0 * h)
+            fd = (hi_v.tau2_star - lo_v.tau2_star) / (2.0 * h)
             check("variant_war_derivative",
                   fd < 0 and _rel_close(fd, expected, 1e-6),
                   f"fd={fd!r} expected={expected!r}")
 
     # the variant closed form also matches its own grid oracle
-    vclamped = vresult.flags.clamped_at_tau_max or vresult.flags.clamped_for_feasibility
-    if vclamped:
+    if vflags.clamped_at_tau_max or vflags.clamped_for_feasibility:
         record("variant_oracle_equivalence", "skip", None)
     else:
-        bf = revolution.brute_force_tau2_variant(params, cost, vresult.gamma_prime)
+        bf = revolution.brute_force_tau2_variant(params, cost, vresult.gamma)
         check("variant_oracle_equivalence",
-              abs(vresult.tau2_star_prime - bf) <= 2.0 * grid_step,
-              f"closed={vresult.tau2_star_prime!r} grid={bf!r}")
+              abs(vresult.tau2_star - bf) <= 2.0 * grid_step,
+              f"closed={vresult.tau2_star!r} grid={bf!r}")
 
     regime_label = f"{cls.prop1.value}/{cls.prop2.value}/{cls.prop3.value}"
     bargain_label = outcome.regime.value
@@ -400,6 +395,8 @@ def run_trials(trials: int, seed: int, variant: str = "baseline",
         raise ValueError(f"workers must be 1, got {workers!r}")
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     report = VerifyReport(trials=trials, seed=seed, variant=variant)
     for name in PROPERTY_NAMES:
         report.properties[name] = PropertyStats()

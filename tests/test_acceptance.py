@@ -19,13 +19,11 @@ from fiscap import (AssumptionViolation, CostSpec, InvestmentRegime, bargaining_
                     brute_force_tau2, civil_war_decision, civil_war_threshold,
                     classify, expected_utility_O1, finite_difference,
                     inside_value, investment_condition, offer_value_I1,
-                    optimal_tau2, period1_policy, period2_policy,
-                    reject_value_I1, reservation_value, revolution_solve,
+                    optimal_tau2, reject_value_I1, reservation_value, revolution_solve,
                     revolution_threshold, sample_params, solve_equilibrium)
 from fiscap.bargaining import BargainingRegime
 from fiscap.cli import CSV_HEADER, main
 from fiscap.conflict import THRESHOLD_COMPARISON
-from fiscap.policy import OutcomeKind
 
 from conftest import REGIME_MAP_CONFIG
 
@@ -439,11 +437,7 @@ def test_criterion_8_budget_identities(verdict):
             check(f"period2[{kind.value}]", outcome)
 
         var = revolution_solve(params, cost)
-        check("variant_period1",
-              period1_policy(params.tau1, var.tau2_star_prime, params.sigma_d,
-                             params.m, cost))
-        for kind in OutcomeKind:
-            check(f"variant_period2[{kind.value}]",
-                  period2_policy(kind, var.tau2_star_prime, params.sigma_d,
-                                 params.sigma_f, params.m))
+        check("variant_period1", var.period1)
+        for kind, outcome in var.period2_by_kind.items():
+            check(f"variant_period2[{kind.value}]", outcome)
     verdict(8, failures)

@@ -310,6 +310,42 @@ def test_tabulated_sweep_frozen_oracle(tmp_path):
         "accda364506abfd02523daab62eb9c7891e7b3fa847f089a17f6ecb418b2c990")
 
 
+# sha256 of the solve reports, joined by blank lines, of draw_params(seed=99,
+# trial=0..99) plus p0c at tau1=0.01 (clamped for feasibility in both
+# variants at c=0.3); the set holds corner, capped, feasibility-clamped and
+# interior solves of either variant
+SOLVE_REPORT_COSTS = {
+    "c=0.05": CostSpec(kind="quadratic", c=0.05),
+    "c=0.3": CostSpec(kind="quadratic", c=0.3),
+    "tabulated": CostSpec(kind="custom", knots=(0.0, 0.25, 0.5, 0.75, 1.0),
+                          marginals=(0.0, 0.2, 0.5, 0.9, 1.4)),
+}
+SOLVE_REPORT_DIGESTS = {
+    ("baseline", "c=0.05"):
+        "6e01e9b25678719c2aa45388f62da5920de33a77bc53dba10702d5ad75da1985",
+    ("baseline", "c=0.3"):
+        "c3d216a51bc7f4eaec1523a9af959102d5bbd7414c6bc70d952412adabdaac17",
+    ("baseline", "tabulated"):
+        "372db01b9b80a8321d94d960499ae1d04e6764da77d2d32e5d7ca248c9342e9e",
+    ("revolution", "c=0.05"):
+        "e6e9450040a264504af927ce226c8b3821b35c2c7db4854f8fe95dff349933fd",
+    ("revolution", "c=0.3"):
+        "57eb5c62d7d89a877da4eb621baeae7234852187294c09fa38bb4f6433323156",
+    ("revolution", "tabulated"):
+        "9e1fb310c339977e859f9ca9b2aca9fea4f1ee1ecdda1c84f1251575854410c1",
+}
+
+
+@pytest.mark.parametrize("variant,cost_name", sorted(SOLVE_REPORT_DIGESTS))
+def test_solve_report_frozen_oracle(p0c, variant, cost_name):
+    points = [draw_params(seed=99, trial=t) for t in range(100)]
+    points.append(p0c.replace(tau1=0.01))
+    text = "\n\n".join(solve_report(p, SOLVE_REPORT_COSTS[cost_name], variant)
+                        for p in points)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        SOLVE_REPORT_DIGESTS[variant, cost_name]
+
+
 def test_sweep_csv_uses_lf_newlines(tmp_path):
     write_sweep_csv(str(tmp_path / "rows.csv"), ["a,b", "c,d"])
     raw = (tmp_path / "rows.csv").read_bytes()
@@ -372,6 +408,14 @@ def test_verify_negative_trials_exits_one(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err
+
+
+@pytest.mark.parametrize("trials", ["0", "1"])
+def test_verify_negative_seed_exits_one(trials, capsys):
+    assert main(["verify", "--trials", trials, "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be >= 0, got -1\n"
 
 
 def test_verify_small_run_and_determinism(capsys):

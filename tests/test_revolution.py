@@ -7,8 +7,10 @@ from fiscap import (CostSpec, InvestmentRegime, TurnoverResponse,
                     brute_force_tau2_variant, civil_war_threshold,
                     expected_utility_I1, expected_utility_I1_variant,
                     expected_utility_O1, expected_utility_O1_variant,
-                    indirect_utility, OutcomeKind, revolution_solve,
+                    indirect_utility, optimal_tau2, OutcomeKind, revolution_solve,
                     revolution_threshold, solve_equilibrium, variant_war_tau2)
+from fiscap.cli import solve_report
+from fiscap.fiscal import Solution
 
 from conftest import draw_params, regime_map_point
 
@@ -40,14 +42,15 @@ def test_variant_threshold_below_baseline_worked_point():
 def test_variant_war_solve_worked_point(cost):
     point = regime_map_point(epsilon=0.3, sigma_d=0.3)
     res = revolution_solve(point, cost)
-    assert res.gamma_prime == 1
-    assert res.phi_prime == pytest.approx(0.7, rel=1e-12)
-    assert res.tau2_star_prime == point.tau1
+    assert res.gamma == 1
+    assert res.phi == pytest.approx(0.7, rel=1e-12)
+    assert res.tau2_star == point.tau1
     assert res.flags.corner
     # war-branch marginal benefit: m*(-phi + (1-sigma_d)/2) = -.7+.35
     assert variant_war_tau2(point, cost).argument == pytest.approx(-0.35, rel=1e-12)
-    assert res.prop1a is TurnoverResponse.UP
-    assert res.prop2a is InvestmentRegime.WAR
+    lines = solve_report(point, cost, "revolution").splitlines()
+    assert lines[0].endswith(f" prop2={InvestmentRegime.WAR.value}")
+    assert lines[2].startswith(f"prop1={TurnoverResponse.UP.value} ")
 
 
 def test_variant_flips_interior_point_to_war(p0c, cost):
@@ -55,12 +58,12 @@ def test_variant_flips_interior_point_to_war(p0c, cost):
     # variant threshold .0488 sits just below sigma_f=.05, where the baseline
     # threshold 1.11 sits far above it
     res = revolution_solve(p0c, cost)
-    assert res.sigma_f_bar_prime == pytest.approx(0.004 / 0.082, rel=1e-10)
-    assert res.sigma_f_bar_prime < p0c.sigma_f < civil_war_threshold(p0c)
-    assert res.gamma_prime == 1
-    assert res.phi_prime == pytest.approx(0.22, rel=1e-12)
+    assert res.sigma_f_bar == pytest.approx(0.004 / 0.082, rel=1e-10)
+    assert res.sigma_f_bar < p0c.sigma_f < civil_war_threshold(p0c)
+    assert res.gamma == 1
+    assert res.phi == pytest.approx(0.22, rel=1e-12)
     # war-branch argument -phi' + (1-sigma_d)/2 = -.22+.4 = .18, interior
-    assert res.tau2_star_prime == pytest.approx(0.38, rel=1e-12)
+    assert res.tau2_star == pytest.approx(0.38, rel=1e-12)
     assert not res.flags.corner
     # the two decision routes agree: direct utilities also favor war
     war = expected_utility_O1_variant(p0c, 1.0, war=True)
@@ -73,11 +76,32 @@ def test_variant_peace_branch_identical_to_baseline(p0c, cost):
     # variant must reproduce the baseline solve bit for bit
     calm = p0c.replace(sigma_f=0.04)
     res = revolution_solve(calm, cost)
-    assert res.gamma_prime == 0
+    assert res.gamma == 0
     base = solve_equilibrium(calm, cost)
     assert base.gamma == 0
-    assert res.tau2_star_prime == base.tau2_star
-    assert res.phi_prime == base.phi
+    assert res.tau2_star == base.tau2_star
+    assert res.phi == base.phi
+
+
+def test_both_solvers_return_one_record(p0c, cost):
+    # variant war (interior), variant peace, and a war corner in both variants
+    points = (p0c, p0c.replace(sigma_f=0.04), regime_map_point(epsilon=0.3, sigma_d=0.3))
+    baseline_rulers = [OutcomeKind.INCUMBENT_RETAINS, OutcomeKind.OPPOSITION_RULES,
+                       OutcomeKind.FOREIGN_ADMINISTRATION]
+    for p in points:
+        base = solve_equilibrium(p, cost)
+        var = revolution_solve(p, cost)
+        assert type(base) is Solution and type(var) is Solution
+        # only the variant has a post-revolution ruler to report
+        assert list(base.period2_by_kind) == baseline_rulers
+        assert list(var.period2_by_kind) == list(OutcomeKind)
+        assert base.argument == optimal_tau2(p, cost, base.gamma).argument
+        closed = variant_war_tau2(p, cost) if var.gamma == 1 else optimal_tau2(p, cost, 0)
+        assert var.argument == closed.argument
+        war = var.gamma == 1
+        assert var.eu_I1 == expected_utility_I1_variant(p, cost, var.tau2_star, war)
+        assert var.eu_O1 == expected_utility_O1_variant(p, var.tau2_star, war)
+        assert base.eu_O1 == expected_utility_O1(p, base.tau2_star, base.gamma == 1)
 
 
 def test_variant_post_revolution_utilities(p0c):
@@ -122,8 +146,8 @@ def test_variant_threshold_never_above_baseline(trial):
 def test_variant_decision_matches_threshold(trial):
     p = draw_params(seed=73, trial=trial)
     res = revolution_solve(p, CostSpec(kind="quadratic", c=1.0))
-    if res.sigma_f_bar_prime is not None:
-        assert res.gamma_prime == (1 if p.sigma_f > res.sigma_f_bar_prime else 0)
+    if res.sigma_f_bar is not None:
+        assert res.gamma == (1 if p.sigma_f > res.sigma_f_bar else 0)
 
 
 @settings(max_examples=30)
@@ -134,8 +158,8 @@ def test_variant_solve_agrees_with_grid_oracle(trial):
     res = revolution_solve(p, cost)
     if res.flags.clamped_at_tau_max or res.flags.clamped_for_feasibility:
         return
-    oracle = brute_force_tau2_variant(p, cost, res.gamma_prime)
-    assert abs(res.tau2_star_prime - oracle) <= 2e-3
+    oracle = brute_force_tau2_variant(p, cost, res.gamma)
+    assert abs(res.tau2_star - oracle) <= 2e-3
 
 
 def test_variant_equals_baseline_at_zero_cohesion_full_solve(cost):
@@ -143,9 +167,9 @@ def test_variant_equals_baseline_at_zero_cohesion_full_solve(cost):
         p = draw_params(seed=75, trial=trial).replace(sigma_d=0.0)
         res = revolution_solve(p, cost)
         base = solve_equilibrium(p, cost)
-        assert res.gamma_prime == base.gamma
-        assert res.phi_prime == base.phi
-        assert res.tau2_star_prime == pytest.approx(base.tau2_star, abs=1e-12)
+        assert res.gamma == base.gamma
+        assert res.phi == base.phi
+        assert res.tau2_star == pytest.approx(base.tau2_star, abs=1e-12)
 
 
 def test_variant_i1_war_utility_drops_when_rule_voided(p0c, cost):

@@ -22,6 +22,11 @@ def test_negative_trials_rejected():
         run_trials(-3, seed=0)
 
 
+def test_negative_seed_rejected():
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        run_trials(0, seed=-1)
+
+
 def test_small_run_passes_with_full_accounting():
     trials = 60
     report = run_trials(trials, seed=42)
