@@ -79,10 +79,8 @@ def _solve_labelled(params: ModelParams, cost: CostSpec, variant: str):
         sol = solve_equilibrium(params, cost)
         # classify makes a second war decision; it stays until ROADMAP item 8
         # replaces the pinned civil_war_decision call count
-        cls = classify(params)
-        labels = cls.prop1, cls.prop2, cls.prop3
-    prop1, prop2, prop3 = labels
-    return sol, (prop1.value, prop2.value, prop3.value)
+        labels = classify(params)
+    return sol, tuple(label.value for label in labels)
 
 
 def _policy_line(label: str, out) -> str:
@@ -94,14 +92,13 @@ def _policy_line(label: str, out) -> str:
 def solve_report(params: ModelParams, cost: CostSpec, variant: str = "baseline") -> str:
     _check_variant(variant)
     sol, (prop1, prop2, prop3) = _solve_labelled(params, cost, variant)
-    clamped = sol.flags.clamped_at_tau_max or sol.flags.clamped_for_feasibility
     lines = [
         f"gamma={sol.gamma} phi={_fmt(sol.phi)} tau2_star={_fmt(sol.tau2_star)} "
         f"prop2={prop2}",
         "sigma_f_bar=undefined" if sol.sigma_f_bar is None
         else f"sigma_f_bar={_fmt(sol.sigma_f_bar)}",
         f"prop1={prop1} prop3={prop3}",
-        f"corner={int(sol.flags.corner)} clamped={int(clamped)}",
+        f"corner={int(sol.flags.corner)} clamped={int(sol.flags.clamped)}",
         _policy_line("period1", sol.period1),
     ]
     lines.extend(_policy_line(f"period2[{kind.value}]", out)
@@ -154,11 +151,10 @@ def sweep_rows(params: ModelParams, cost: CostSpec, axis1: Axis,
                 rows.append(f"{_fmt(v1)},{axis2_text},,,,,,,,,,invalid")
                 continue
             sol, labels = _solve_labelled(p, cost, variant)
-            clamped = sol.flags.clamped_at_tau_max or sol.flags.clamped_for_feasibility
             bar = "" if sol.sigma_f_bar is None else _fmt(sol.sigma_f_bar)
             rows.append(f"{_fmt(v1)},{axis2_text},{sol.gamma},{bar},{_fmt(sol.phi)},"
                         f"{_fmt(sol.tau2_star)},{labels[0]},{labels[1]},{labels[2]},"
-                        f"{int(sol.flags.corner)},{int(clamped)},ok")
+                        f"{int(sol.flags.corner)},{int(sol.flags.clamped)},ok")
     return rows
 
 

@@ -12,11 +12,6 @@ from typing import Callable, Dict, Optional
 from .params import ModelParams
 from .policy import expected_utility_O1
 
-# method labels for ConflictDecision
-THRESHOLD_COMPARISON = "threshold_comparison"
-DIRECT_UTILITY_COMPARISON = "direct_utility_comparison"
-
-
 class UndefinedThreshold(ValueError):
     """Raised when a threshold-only quantity is requested but the threshold
     denominator is not positive."""
@@ -27,8 +22,7 @@ class ConflictDecision:
     """The opposition's war choice: gamma=1 means civil war."""
 
     gamma: int
-    threshold: Optional[float]  # None when the closed form is undefined
-    method: str
+    threshold: Optional[float]  # None when undefined: the direct comparison decided alone
 
 
 def _threshold_parts(params: ModelParams):
@@ -58,8 +52,7 @@ def _decide(params: ModelParams, eu_O1: Callable,
     gamma = 1 if war > peace else 0
     threshold = threshold_of(params)
     if threshold is None:
-        return ConflictDecision(gamma=gamma, threshold=None,
-                                method=DIRECT_UTILITY_COMPARISON)
+        return ConflictDecision(gamma=gamma, threshold=None)
     by_threshold = 1 if params.sigma_f > threshold else 0
     # the routes agree identically in exact arithmetic; only a genuine
     # formula error can separate them beyond rounding at an indifference point
@@ -67,8 +60,7 @@ def _decide(params: ModelParams, eu_O1: Callable,
         raise AssertionError(
             f"war-decision routes disagree: direct gamma={gamma}, "
             f"threshold gamma={by_threshold} at {params!r}")
-    return ConflictDecision(gamma=gamma, threshold=threshold,
-                            method=THRESHOLD_COMPARISON)
+    return ConflictDecision(gamma=gamma, threshold=threshold)
 
 
 def civil_war_decision(params: ModelParams) -> ConflictDecision:
@@ -76,7 +68,7 @@ def civil_war_decision(params: ModelParams) -> ConflictDecision:
 
     The direct utility comparison at tau2=1 is authoritative (the sign does
     not depend on tau2). When the threshold is defined the two routes are
-    cross-checked and the decision is reported as threshold-based.
+    cross-checked; threshold=None means the direct comparison decided alone.
     """
     return _decide(params, expected_utility_O1, civil_war_threshold)
 

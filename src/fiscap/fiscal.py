@@ -33,6 +33,11 @@ class SolveFlags:
     clamped_at_tau_max: bool        # solution cut at the tax-rate cap
     clamped_for_feasibility: bool   # solution cut so period-1 transfers stay nonnegative
 
+    @property
+    def clamped(self) -> bool:
+        """The solution was cut by either clamp."""
+        return self.clamped_at_tau_max or self.clamped_for_feasibility
+
 
 @dataclass(frozen=True)
 class Tau2Solution:
@@ -47,7 +52,6 @@ class Solution:
 
     gamma: int
     sigma_f_bar: Optional[float]  # war threshold on sigma_f; None when undefined
-    method: str                   # the war decision's route
     phi: float
     tau2_star: float
     argument: float               # marginal benefit handed to the clamp
@@ -212,7 +216,7 @@ def _solution(params: ModelParams, cost: CostSpec, decision: ConflictDecision,
     # the sweep discards the policies and utilities; they stay until ROADMAP
     # item 8 replaces the pinned indirect_utility call count
     return Solution(
-        gamma=gamma, sigma_f_bar=decision.threshold, method=decision.method,
+        gamma=gamma, sigma_f_bar=decision.threshold,
         phi=turnover_probability(params, gamma), tau2_star=tau2,
         argument=tau2_solution.argument, flags=tau2_solution.flags,
         period1=period1_policy(p.tau1, tau2, p.sigma_d, p.m, cost),

@@ -9,14 +9,13 @@ used in sweep CSVs and reports.
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict
+from typing import NamedTuple
 
 from .conflict import civil_war_decision
-from .fiscal import investment_argument, solve_equilibrium
+from .fiscal import solve_equilibrium
 from .params import CostSpec, ModelParams
 
 EQUALITY_TOL = 1e-12      # knife-edge classification width
-BOUNDARY_TOL = 1e-9       # near-tie flagging width
 
 
 class TurnoverResponse(Enum):
@@ -43,12 +42,10 @@ class JointRegime(Enum):
     TURNOVER_DOWN_INVEST_DOWN = "3.B.2"
 
 
-@dataclass(frozen=True)
-class RegimeClassification:
+class RegimeClassification(NamedTuple):
     prop1: TurnoverResponse
     prop2: InvestmentRegime
     prop3: JointRegime
-    boundary_flags: Dict[str, bool]
 
 
 @dataclass(frozen=True)
@@ -66,34 +63,23 @@ def investment_condition(params: ModelParams) -> float:
             - params.sigma_d * (params.epsilon - params.lam * params.mu))
 
 
-def _labels(gamma: int, cond: float):
+def _labels(gamma: int, cond: float) -> RegimeClassification:
     """(prop1, prop2, prop3) labels from the war decision and the
     investment condition."""
     if gamma == 1:
-        return TurnoverResponse.UP, InvestmentRegime.WAR, JointRegime.WAR
+        return RegimeClassification(TurnoverResponse.UP, InvestmentRegime.WAR, JointRegime.WAR)
     if cond > EQUALITY_TOL:
-        return (TurnoverResponse.DOWN, InvestmentRegime.INVEST_UP,
-                JointRegime.TURNOVER_DOWN_INVEST_UP)
+        return RegimeClassification(TurnoverResponse.DOWN, InvestmentRegime.INVEST_UP,
+                                    JointRegime.TURNOVER_DOWN_INVEST_UP)
     prop2 = (InvestmentRegime.KNIFE_EDGE if abs(cond) <= EQUALITY_TOL
              else InvestmentRegime.INVEST_DOWN)
-    return TurnoverResponse.DOWN, prop2, JointRegime.TURNOVER_DOWN_INVEST_DOWN
+    return RegimeClassification(TurnoverResponse.DOWN, prop2,
+                                JointRegime.TURNOVER_DOWN_INVEST_DOWN)
 
 
 def classify(params: ModelParams) -> RegimeClassification:
-    """Regime labels plus near-tie flags for one parameter point."""
-    decision = civil_war_decision(params)
-    gamma = decision.gamma
-    cond = investment_condition(params)
-    prop1, prop2, prop3 = _labels(gamma, cond)
-    threshold = decision.threshold
-    flags = {
-        "prop2_near_equality": abs(cond) <= BOUNDARY_TOL,
-        "near_war_threshold": (threshold is not None
-                               and abs(params.sigma_f - threshold) <= BOUNDARY_TOL),
-        "near_corner": abs(investment_argument(params, gamma)) <= BOUNDARY_TOL * params.m,
-    }
-    return RegimeClassification(prop1=prop1, prop2=prop2, prop3=prop3,
-                                boundary_flags=flags)
+    """Regime labels (prop1, prop2, prop3) for one parameter point."""
+    return _labels(civil_war_decision(params).gamma, investment_condition(params))
 
 
 def finite_difference(params: ModelParams, cost: CostSpec, wrt: str) -> FiniteDifference:

@@ -77,6 +77,17 @@ def _budget_ok(out: policy.PolicyOutcome, m: float) -> bool:
     return abs(out.budget_gap(m)) <= 1e-12
 
 
+def _near_label_boundary(params: ModelParams, cost: CostSpec,
+                         result: fiscal.Solution) -> bool:
+    """True when a baseline solve sits within rounding of a label boundary:
+    sigma_f on the war threshold, zero marginal benefit, or an investment
+    condition too small for a finite difference in alpha to sign."""
+    bar = result.sigma_f_bar
+    return ((bar is not None and abs(params.sigma_f - bar) <= 1e-9)
+            or abs(result.argument) <= 1e-9 * params.m
+            or abs(statics.investment_condition(params)) * params.m / cost.c <= 1e-7)
+
+
 def _trial_outcomes(trial: int, seed: int,
                     variant: str) -> Tuple[List[Outcome], str, str]:
     """Run every property for one trial; returns outcomes plus regime labels."""
@@ -202,8 +213,7 @@ def _trial_outcomes(trial: int, seed: int,
     check("turnover_alpha_derivative", ok, "turnover slope mismatch")
 
     # closed-form investment equals the grid argmax when nothing clamps
-    clamped = flags.clamped_at_tau_max or flags.clamped_for_feasibility
-    if clamped:
+    if flags.clamped:
         record("oracle_equivalence", "skip", None)
     else:
         bf = brute_force(params, cost, gamma)
@@ -228,7 +238,7 @@ def _trial_outcomes(trial: int, seed: int,
           "a nearby point beats the reported optimum")
 
     # corner flag, zero marginal benefit, and tau2*=tau1 line up
-    if clamped:
+    if flags.clamped:
         record("corner_consistency", "skip", None)
     else:
         agree = (flags.corner == (sol.argument <= 0.0)
@@ -237,12 +247,9 @@ def _trial_outcomes(trial: int, seed: int,
               f"corner={flags.corner} argument={sol.argument!r} tau2={tau2_star!r}")
 
     # finite-difference signs match the regime labels (baseline solver)
-    cls = statics.classify(params)
-    guard = (cls.boundary_flags["near_war_threshold"]
-             or cls.boundary_flags["near_corner"]
-             or abs(statics.investment_condition(params)) * params.m / cost.c <= 1e-7)
-    skip = (guard or result.flags.corner or result.flags.clamped_at_tau_max
-            or result.flags.clamped_for_feasibility)
+    cls = statics._labels(result.gamma, statics.investment_condition(params))
+    skip = (_near_label_boundary(params, cost, result) or result.flags.corner
+            or result.flags.clamped)
     slopes = None if skip else statics.finite_difference(params, cost, "alpha")
     if slopes is None or not slopes.regime_stable:
         record("regime_fd_signs", "skip", None)
@@ -353,8 +360,7 @@ def _trial_outcomes(trial: int, seed: int,
 
     # interior variant war solutions move against external risk at known slope
     vflags = vresult.flags
-    if (vresult.gamma == 0 or vflags.corner or vflags.clamped_at_tau_max
-            or vflags.clamped_for_feasibility):
+    if vresult.gamma == 0 or vflags.corner or vflags.clamped:
         record("variant_war_derivative", "skip", None)
     else:
         h = 1e-6
@@ -370,7 +376,7 @@ def _trial_outcomes(trial: int, seed: int,
                   f"fd={fd!r} expected={expected!r}")
 
     # the variant closed form also matches its own grid oracle
-    if vflags.clamped_at_tau_max or vflags.clamped_for_feasibility:
+    if vflags.clamped:
         record("variant_oracle_equivalence", "skip", None)
     else:
         bf = revolution.brute_force_tau2_variant(params, cost, vresult.gamma)

@@ -23,7 +23,6 @@ from fiscap import (AssumptionViolation, CostSpec, InvestmentRegime, bargaining_
                     revolution_threshold, sample_params, solve_equilibrium)
 from fiscap.bargaining import BargainingRegime
 from fiscap.cli import CSV_HEADER, main
-from fiscap.conflict import THRESHOLD_COMPARISON
 
 from conftest import REGIME_MAP_CONFIG
 
@@ -90,8 +89,8 @@ def test_criterion_2_threshold_agrees_with_direct_comparison(verdict):
             expected = 1 if params.sigma_f > threshold else 0
             if decision.gamma != expected:
                 failures.append(("disagreement", t, decision.gamma, expected))
-            if decision.method != THRESHOLD_COMPARISON:
-                failures.append(("method", t, decision.method))
+            if decision.threshold != threshold:
+                failures.append(("threshold", t, decision.threshold, threshold))
         signs = []
         for tau2 in (0.1, 0.5, 0.9, 1.0):
             war = expected_utility_O1(params, tau2, war=True)

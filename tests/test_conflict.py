@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from fiscap import (ModelParams, UndefinedThreshold, civil_war_decision,
                     civil_war_threshold, expected_utility_O1,
                     threshold_sensitivities, turnover_probability)
-from fiscap.conflict import DIRECT_UTILITY_COMPARISON, THRESHOLD_COMPARISON
 
 from conftest import draw_params, regime_map_point
 
@@ -39,7 +38,6 @@ def test_threshold_undefined_when_denominator_not_positive():
 def test_decision_worked_points(p0a, p0b):
     peace = civil_war_decision(p0a)
     assert peace.gamma == 0
-    assert peace.method == THRESHOLD_COMPARISON
     assert peace.threshold == pytest.approx(30.0 / 23.0, rel=1e-12)
     war = civil_war_decision(p0b)
     assert war.gamma == 1
@@ -61,7 +59,6 @@ def test_decision_war_at_zero_cohesiveness(p0a):
 def test_decision_falls_back_to_direct_comparison():
     decision = civil_war_decision(NO_THRESHOLD)
     assert decision.threshold is None
-    assert decision.method == DIRECT_UTILITY_COMPARISON
     war = expected_utility_O1(NO_THRESHOLD, 1.0, True)
     peace = expected_utility_O1(NO_THRESHOLD, 1.0, False)
     assert decision.gamma == (1 if war > peace else 0)

@@ -49,6 +49,7 @@ def test_optimal_tau2_interior_worked_point(p0c, cost):
     assert not sol.flags.corner
     assert not sol.flags.clamped_at_tau_max
     assert not sol.flags.clamped_for_feasibility
+    assert not sol.flags.clamped
 
 
 def test_optimal_tau2_corner_peace(p0a, cost):
@@ -56,6 +57,7 @@ def test_optimal_tau2_corner_peace(p0a, cost):
     assert sol.tau2_star == p0a.tau1
     assert sol.argument == pytest.approx(-0.015, rel=1e-12)
     assert sol.flags.corner
+    assert not sol.flags.clamped
 
 
 def test_optimal_tau2_corner_war(cost):
@@ -64,18 +66,21 @@ def test_optimal_tau2_corner_war(cost):
     assert sol.tau2_star == params.tau1
     assert sol.argument == pytest.approx(-0.215, rel=1e-12)
     assert sol.flags.corner
+    assert not sol.flags.clamped
 
 
 def test_optimal_tau2_clamps_at_tau_max(p0c, cost):
     sol = optimal_tau2(p0c.replace(tau_max=0.3), cost, 0)
     assert sol.tau2_star == 0.3
     assert sol.flags.clamped_at_tau_max
+    assert sol.flags.clamped
 
 
 def test_optimal_tau2_clamps_for_feasibility(p0c, cost):
     tight = p0c.replace(tau1=0.01)
     sol = optimal_tau2(tight, cost, 0)
     assert sol.flags.clamped_for_feasibility
+    assert sol.flags.clamped
     assert sol.tau2_star == max_feasible_tau2(tight, cost)
     assert cost.value(sol.tau2_star - tight.tau1) <= tight.tau1 * tight.m
 

@@ -3,7 +3,9 @@
 perfbench/tracer.py looks its TRACED names up with getattr and rebinds them
 in every fiscap module by identity. A renamed or deleted name breaks every
 traced benchmark run, and a call made through a reference captured at import
-time escapes the trace; both show up here in seconds.
+time escapes the trace; both show up here in seconds. A small traced sweep
+checks the per-point call rates behind the regime-map counts that
+perfbench/check.py pins, which take half a minute to trace in full.
 """
 
 import importlib
@@ -12,10 +14,10 @@ from pathlib import Path
 
 import pytest
 
-from fiscap import CostSpec
-from fiscap.cli import solve_report
+from fiscap import CostSpec, parse_config_text, validate_params
+from fiscap.cli import parse_axis, solve_report, sweep_rows
 
-from conftest import regime_map_point
+from conftest import REGIME_MAP_CONFIG, regime_map_point
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -56,3 +58,19 @@ def test_traced_solves_record_their_calls(tracer):
     assert calls["conflict.civil_war_decision"] == 2
     # each solve reaches the investment problem once, on its own branch
     assert calls["fiscal.optimal_tau2"] + calls["revolution.variant_war_tau2"] == 2
+
+
+def test_traced_sweep_call_rates(tracer):
+    # 5x5 points of the regime map; epsilon=0.1 violates epsilon > mu, so
+    # 20 points are valid
+    base = validate_params(parse_config_text(REGIME_MAP_CONFIG.read_text()))
+    axis1, axis2 = parse_axis("sigma_d=0:1:0.25"), parse_axis("epsilon=0.1:0.5:0.1")
+    spans = tracer.Spans()
+    with tracer.install(spans):
+        sweep_rows(base, CostSpec(kind="quadratic", c=1.0), axis1, axis2)
+    per_function, _ = tracer.summarize(spans)
+    assert per_function["params.validate_params"]["calls"] == 25
+    assert per_function["params.validate_params"]["raised"] == 5
+    # two war decisions and 18 indirect utilities per valid point
+    assert per_function["conflict.civil_war_decision"]["calls"] == 40
+    assert per_function["policy.indirect_utility"]["calls"] == 360

@@ -40,16 +40,6 @@ def test_classify_knife_edge_equality(p0c):
         assert abs(investment_condition(point)) <= 1e-15
 
 
-def test_boundary_flags_near_war_threshold():
-    # threshold 0.345 at this point, so sigma_f can sit on it inside [0, 1]
-    base = regime_map_point(epsilon=0.3, sigma_d=0.7)
-    bar = civil_war_threshold(base)
-    near = base.replace(sigma_f=bar)
-    flags = classify(near).boundary_flags
-    assert flags["near_war_threshold"]
-    assert not classify(base).boundary_flags["near_war_threshold"]
-
-
 def test_finite_difference_phi_worked_point(p0c, cost):
     fd = finite_difference(p0c, cost, "alpha")
     assert fd.phi == pytest.approx(-0.15, abs=1e-9)

@@ -4,7 +4,11 @@ import hashlib
 
 import pytest
 
-from fiscap import PROPERTY_NAMES, render_report, run_trials
+from fiscap import (PROPERTY_NAMES, civil_war_threshold, investment_condition,
+                    render_report, run_trials, solve_equilibrium)
+from fiscap.verify import _near_label_boundary
+
+from conftest import regime_map_point
 
 
 def test_zero_trials_gives_empty_passing_report():
@@ -73,3 +77,18 @@ def test_variant_suite_runs_clean():
         assert stats.passed + stats.failed + stats.skipped == 40, name
     assert hashlib.sha256(render_report(report).encode()).hexdigest() == (
         "45ef0779494ba145ec0d3e75e9b62c88660d546ae927b4391ffaf2088496c5f8")
+
+
+
+def test_fd_sign_guard_near_label_boundaries(p0c, cost):
+    # sigma_f on the war threshold (0.345 at this point, inside [0, 1])
+    base = regime_map_point(epsilon=0.3, sigma_d=0.7)
+    on_threshold = base.replace(sigma_f=civil_war_threshold(base))
+    # sigma_d with (eps - mu) = sigma_d*(eps - lam*mu) to rounding
+    knife_edge = p0c.replace(
+        sigma_d=(p0c.epsilon - p0c.mu) / (p0c.epsilon - p0c.lam * p0c.mu))
+    assert abs(investment_condition(knife_edge)) <= 1e-15
+    for point, guarded in ((on_threshold, True), (knife_edge, True),
+                           (base, False), (p0c, False)):
+        result = solve_equilibrium(point, cost)
+        assert _near_label_boundary(point, cost, result) == guarded
