@@ -1,20 +1,19 @@
 """Seeded property harness: rejection-sampled draws, cross-checked routes.
 
 Each trial derives its own generator from (seed, trial), so results do not
-depend on execution order. Every property reports pass, fail, or skip for
-every trial; skips mark draws where a property's preconditions do not hold
-(undefined threshold, clamped solve, regime flip across probes).
+depend on execution order. Every property is one function of a Trial, listed
+in PROPERTIES in report order; it returns None to skip the trial, where its
+preconditions do not hold (undefined threshold, clamped solve, regime flip
+across probes), or (passed, detail).
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import bargaining, conflict, fiscal, policy, revolution, statics
 from .params import CostSpec, ModelParams, sample_params
-
-Status = str  # "pass" | "fail" | "skip"
 
 
 @dataclass
@@ -38,43 +37,12 @@ class VerifyReport:
         return sum(s.failed for s in self.properties.values())
 
 
-# every property name, in report order
-PROPERTY_NAMES = [
-    "budget_identity",
-    "utility_affine_in_tau2",
-    "war_peace_sign_invariance",
-    "scale_invariance",
-    "threshold_decision_agreement",
-    "threshold_at_full_cohesion",
-    "threshold_sensitivity_fd",
-    "turnover_alpha_derivative",
-    "oracle_equivalence",
-    "second_order_condition",
-    "maximality",
-    "corner_consistency",
-    "regime_fd_signs",
-    "invest_boundary_lambda_zero",
-    "bargain_share_valid",
-    "bargain_offer_beats_war",
-    "bargain_share_monotonic",
-    "bargain_interior_shrinks_with_alpha",
-    "bargain_accept_tau2_independent",
-    "variant_threshold_ordering",
-    "variant_equal_at_zero_cohesion",
-    "variant_peace_identity",
-    "variant_war_derivative",
-    "variant_oracle_equivalence",
-]
-
-Outcome = Tuple[str, Status, Optional[str]]
+# None to skip a property on a trial, else (passed, detail)
+Outcome = Optional[Tuple[bool, str]]
 
 
 def _rel_close(a: float, b: float, tol: float) -> bool:
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
-
-
-def _budget_ok(out: policy.PolicyOutcome, m: float) -> bool:
-    return abs(out.budget_gap(m)) <= 1e-12
 
 
 def _near_label_boundary(params: ModelParams, cost: CostSpec,
@@ -88,10 +56,27 @@ def _near_label_boundary(params: ModelParams, cost: CostSpec,
             or abs(statics.investment_condition(params)) * params.m / cost.c <= 1e-7)
 
 
-def _trial_outcomes(trial: int, seed: int,
-                    variant: str) -> Tuple[List[Outcome], str, str]:
-    """Run every property for one trial; returns outcomes plus regime labels."""
-    grid_step = fiscal.GRID_STEP
+@dataclass(frozen=True)
+class Trial:
+    """One trial's draws and the solves every property reads."""
+
+    params: ModelParams
+    cost: CostSpec
+    bparams: ModelParams               # drawn under the bargaining assumptions
+    tau2_probe: float
+    offer_probe: float
+    result: fiscal.Solution            # baseline solve
+    vresult: fiscal.Solution           # revolution solve
+    sol: fiscal.Solution               # the solve of the variant under test
+    eu_I1: Callable                    # that variant's objective
+    brute_force: Callable              # and its grid oracle
+    hi_feas: float                     # the largest feasible tau2
+    labels: statics.RegimeClassification  # from the baseline solve
+    outcome: bargaining.BargainingOutcome
+
+
+def _make_trial(trial: int, seed: int, variant: str) -> Trial:
+    """Draw one trial's inputs (every draw first, in a fixed order) and solve them."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, trial)))
     params = sample_params(rng)
     cost = CostSpec(kind="quadratic", c=float(rng.uniform(0.5, 5.0)))
@@ -99,297 +84,311 @@ def _trial_outcomes(trial: int, seed: int,
     tau2_probe = float(rng.uniform(params.tau1, 1.0))
     offer_probe = float(rng.uniform(0.0, 1.0))
 
-    outcomes: List[Outcome] = []
-
-    def record(name: str, status: Status, detail: Optional[str] = None):
-        outcomes.append((name, status, detail))
-
-    def check(name: str, ok: bool, detail: str = ""):
-        record(name, "pass" if ok else "fail", None if ok else detail)
-
     result = fiscal.solve_equilibrium(params, cost)
     vresult = revolution.revolution_solve(params, cost)
     if variant == "revolution":
-        sol = vresult
-        eu_I1, brute_force = (revolution.expected_utility_I1_variant,
-                              revolution.brute_force_tau2_variant)
+        sol, eu_I1, brute_force = (vresult, revolution.expected_utility_I1_variant,
+                                   revolution.brute_force_tau2_variant)
     else:
-        sol = result
-        eu_I1, brute_force = policy.expected_utility_I1, fiscal.brute_force_tau2
-    gamma, tau2_star, flags = sol.gamma, sol.tau2_star, sol.flags
-    war = gamma == 1
+        sol, eu_I1, brute_force = result, policy.expected_utility_I1, fiscal.brute_force_tau2
+    hi_feas = fiscal.max_feasible_tau2(params, cost)
+    labels = statics._labels(result.gamma, statics.investment_condition(params))
+    outcome = bargaining.bargaining_outcome(bparams)
+    return Trial(params, cost, bparams, tau2_probe, offer_probe, result, vresult, sol,
+                 eu_I1, brute_force, hi_feas, labels, outcome)
 
-    # budget identities on every policy both solves emit, plus a
-    # post-revolution policy at a probe capacity
-    outs = [result.period1, *result.period2_by_kind.values(),
-            vresult.period1, *vresult.period2_by_kind.values()]
-    outs.append(policy.period2_policy(policy.OutcomeKind.OPPOSITION_RULES_POST_REVOLUTION,
-                                      tau2_probe, params.sigma_d, params.sigma_f, params.m))
-    check("budget_identity", all(_budget_ok(o, params.m) for o in outs),
-          "budget residual above 1e-12")
 
-    # utilities are affine in tau2: exact midpoint collinearity
-    a, b = params.tau1, min(1.0, params.tau1 + 0.5)
+def budget_identity(t: Trial) -> Outcome:
+    """Budget identities on every policy both solves emit, plus a
+    post-revolution policy at a probe capacity."""
+    p = t.params
+    outs = [t.result.period1, *t.result.period2_by_kind.values(),
+            t.vresult.period1, *t.vresult.period2_by_kind.values(),
+            policy.period2_policy(policy.OutcomeKind.OPPOSITION_RULES_POST_REVOLUTION,
+                                  t.tau2_probe, p.sigma_d, p.sigma_f, p.m)]
+    return (all(abs(o.budget_gap(p.m)) <= 1e-12 for o in outs),
+            "budget residual above 1e-12")
+
+
+def utility_affine_in_tau2(t: Trial) -> Outcome:
+    """Utilities are affine in tau2: exact midpoint collinearity."""
+    p = t.params
+    a, b = p.tau1, min(1.0, p.tau1 + 0.5)
     mid = (a + b) / 2.0
     affine = True
     for wflag in (False, True):
-        ya = policy.expected_utility_O1(params, a, wflag)
-        yb = policy.expected_utility_O1(params, b, wflag)
-        ym = policy.expected_utility_O1(params, mid, wflag)
+        ya = policy.expected_utility_O1(p, a, wflag)
+        yb = policy.expected_utility_O1(p, b, wflag)
+        ym = policy.expected_utility_O1(p, mid, wflag)
         affine &= abs(ym - (ya + yb) / 2.0) <= 1e-12 * max(1.0, abs(ya), abs(yb))
-    check("utility_affine_in_tau2", affine, "midpoint collinearity violated")
+    return affine, "midpoint collinearity violated"
 
-    # the war-vs-peace comparison has one sign for every positive tau2
-    gaps = [policy.expected_utility_O1(params, t2, True)
-            - policy.expected_utility_O1(params, t2, False)
+
+def war_peace_sign_invariance(t: Trial) -> Outcome:
+    """The war-vs-peace comparison has one sign for every positive tau2."""
+    gaps = [policy.expected_utility_O1(t.params, t2, True)
+            - policy.expected_utility_O1(t.params, t2, False)
             for t2 in (0.1, 0.5, 0.9, 1.0)]
-    if abs(gaps[-1]) <= 1e-12 * params.m:
-        record("war_peace_sign_invariance", "skip", None)
-    else:
-        same = all((g > 0) == (gaps[-1] > 0) for g in gaps)
-        check("war_peace_sign_invariance", same, f"gaps={gaps!r}")
+    if abs(gaps[-1]) <= 1e-12 * t.params.m:
+        return None
+    return all((g > 0) == (gaps[-1] > 0) for g in gaps), f"gaps={gaps!r}"
 
-    # income is a pure scale at zero investment
-    k = 3.0
-    scaled = params.replace(m=params.m * k)
-    pol = policy.period2_policy(policy.OutcomeKind.INCUMBENT_RETAINS, tau2_probe,
-                                params.sigma_d, params.sigma_f, params.m)
-    pol_k = policy.period2_policy(policy.OutcomeKind.INCUMBENT_RETAINS, tau2_probe,
-                                  params.sigma_d, params.sigma_f, scaled.m)
-    eu = policy.expected_utility_O1(params, tau2_probe, war)
-    eu_k = policy.expected_utility_O1(scaled, tau2_probe, war)
-    check("scale_invariance",
-          _rel_close(pol_k.r_inc, k * pol.r_inc, 1e-12) and _rel_close(eu_k, k * eu, 1e-12),
-          "scaling m did not scale transfers/utilities")
 
-    # the closed-form threshold and the direct comparison agree when defined
-    threshold = result.sigma_f_bar
+def scale_invariance(t: Trial) -> Outcome:
+    """Income is a pure scale at zero investment."""
+    p, k, war = t.params, 3.0, t.sol.gamma == 1
+    scaled = p.replace(m=p.m * k)
+    pol = policy.period2_policy(policy.OutcomeKind.INCUMBENT_RETAINS, t.tau2_probe,
+                                p.sigma_d, p.sigma_f, p.m)
+    pol_k = policy.period2_policy(policy.OutcomeKind.INCUMBENT_RETAINS, t.tau2_probe,
+                                  p.sigma_d, p.sigma_f, scaled.m)
+    eu = policy.expected_utility_O1(p, t.tau2_probe, war)
+    eu_k = policy.expected_utility_O1(scaled, t.tau2_probe, war)
+    return (_rel_close(pol_k.r_inc, k * pol.r_inc, 1e-12) and _rel_close(eu_k, k * eu, 1e-12),
+            "scaling m did not scale transfers/utilities")
+
+
+def threshold_decision_agreement(t: Trial) -> Outcome:
+    """The closed-form threshold and the direct comparison agree when defined."""
+    threshold = t.result.sigma_f_bar
     if threshold is None:
-        record("threshold_decision_agreement", "skip", None)
-    else:
-        check("threshold_decision_agreement",
-              (params.sigma_f > threshold) == (result.gamma == 1),
-              f"threshold={threshold!r} gamma={result.gamma}")
+        return None
+    return ((t.params.sigma_f > threshold) == (t.result.gamma == 1),
+            f"threshold={threshold!r} gamma={t.result.gamma}")
 
-    # perfectly cohesive institutions force the threshold to 2
-    full = params.replace(sigma_d=1.0)
-    t_full = conflict.civil_war_threshold(full)
-    check("threshold_at_full_cohesion",
-          t_full is not None and abs(t_full - 2.0) <= 1e-12,
-          f"threshold at sigma_d=1 was {t_full!r}")
 
-    # closed-form threshold sensitivities against central differences
-    num, den, _ = conflict._threshold_parts(params)
-    if threshold is None or den < 0.05:
-        record("threshold_sensitivity_fd", "skip", None)
-    else:
-        sens = conflict.threshold_sensitivities(params)
-        ok, detail = True, ""
-        for wrt, attr in (("d_sigma_d", "sigma_d"), ("d_lambda", "lam"), ("d_alpha", "alpha")):
-            x = getattr(params, attr)
-            h = 1e-6
-            lo_t = conflict.civil_war_threshold(params.replace(**{attr: x - h}))
-            hi_t = conflict.civil_war_threshold(params.replace(**{attr: x + h}))
-            if lo_t is None or hi_t is None:
-                ok = None
-                break
-            fd = (hi_t - lo_t) / (2.0 * h)
-            if not _rel_close(fd, sens[wrt], 1e-6):
-                ok, detail = False, f"{wrt}: fd={fd!r} closed={sens[wrt]!r}"
-                break
-        if ok is None:
-            record("threshold_sensitivity_fd", "skip", None)
-        else:
-            check("threshold_sensitivity_fd", ok, detail)
+def threshold_at_full_cohesion(t: Trial) -> Outcome:
+    """Perfectly cohesive institutions force the threshold to 2."""
+    t_full = conflict.civil_war_threshold(t.params.replace(sigma_d=1.0))
+    return (t_full is not None and abs(t_full - 2.0) <= 1e-12,
+            f"threshold at sigma_d=1 was {t_full!r}")
 
-    # turnover is affine in alpha with known slope on each branch
-    ok = True
-    for g, slope in ((0, -(params.epsilon - params.mu)),
-                     (1, params.omega - params.delta + params.rho)):
+
+def threshold_sensitivity_fd(t: Trial) -> Outcome:
+    """Closed-form threshold sensitivities against central differences; the
+    first mismatching derivative is reported."""
+    p = t.params
+    _, den, _ = conflict._threshold_parts(p)
+    if t.result.sigma_f_bar is None or den < 0.05:
+        return None
+    sens = conflict.threshold_sensitivities(p)
+    for wrt, attr in (("d_sigma_d", "sigma_d"), ("d_lambda", "lam"), ("d_alpha", "alpha")):
+        x = getattr(p, attr)
         h = 1e-6
-        lo_p = conflict.turnover_probability(params.replace(alpha=params.alpha - h), g)
-        hi_p = conflict.turnover_probability(params.replace(alpha=params.alpha + h), g)
+        lo_t = conflict.civil_war_threshold(p.replace(**{attr: x - h}))
+        hi_t = conflict.civil_war_threshold(p.replace(**{attr: x + h}))
+        if lo_t is None or hi_t is None:
+            return None
+        fd = (hi_t - lo_t) / (2.0 * h)
+        if not _rel_close(fd, sens[wrt], 1e-6):
+            return False, f"{wrt}: fd={fd!r} closed={sens[wrt]!r}"
+    return True, ""
+
+
+def turnover_alpha_derivative(t: Trial) -> Outcome:
+    """Turnover is affine in alpha with known slope on each branch."""
+    p = t.params
+    ok = True
+    for g, slope in ((0, -(p.epsilon - p.mu)), (1, p.omega - p.delta + p.rho)):
+        h = 1e-6
+        lo_p = conflict.turnover_probability(p.replace(alpha=p.alpha - h), g)
+        hi_p = conflict.turnover_probability(p.replace(alpha=p.alpha + h), g)
         ok &= abs((hi_p - lo_p) / (2.0 * h) - slope) <= 1e-9
-    check("turnover_alpha_derivative", ok, "turnover slope mismatch")
+    return ok, "turnover slope mismatch"
 
-    # closed-form investment equals the grid argmax when nothing clamps
-    if flags.clamped:
-        record("oracle_equivalence", "skip", None)
+
+def oracle_equivalence(t: Trial) -> Outcome:
+    """Closed-form investment equals the grid argmax when nothing clamps."""
+    if t.sol.flags.clamped:
+        return None
+    bf = t.brute_force(t.params, t.cost, t.sol.gamma)
+    return (abs(t.sol.tau2_star - bf) <= 2.0 * fiscal.GRID_STEP,
+            f"closed={t.sol.tau2_star!r} grid={bf!r}")
+
+
+def second_order_condition(t: Trial) -> Outcome:
+    """The objective is concave in tau2."""
+    grid = np.linspace(t.params.tau1, t.hi_feas, 201)
+    second = np.diff(t.eu_I1(t.params, t.cost, grid, t.sol.gamma == 1), n=2)
+    return (bool(np.all(second <= 1e-12)),
+            f"max second difference {float(second.max())!r}")
+
+
+def maximality(t: Trial) -> Outcome:
+    """The reported optimum beats nearby feasible points."""
+    p, cost, tau2_star, war = t.params, t.cost, t.sol.tau2_star, t.sol.gamma == 1
+    probes = [tau2_star - 10 * fiscal.GRID_STEP, tau2_star + 10 * fiscal.GRID_STEP]
+    probes = [t2 for t2 in probes if p.tau1 <= t2 <= t.hi_feas]
+    v_star = t.eu_I1(p, cost, tau2_star, war)
+    return (all(v_star >= t.eu_I1(p, cost, t2, war) - 1e-12 * max(1.0, abs(v_star))
+                for t2 in probes),
+            "a nearby point beats the reported optimum")
+
+
+def corner_consistency(t: Trial) -> Outcome:
+    """Corner flag, zero marginal benefit, and tau2*=tau1 line up."""
+    sol = t.sol
+    if sol.flags.clamped:
+        return None
+    return (sol.flags.corner == (sol.argument <= 0.0)
+            == (abs(sol.tau2_star - t.params.tau1) == 0.0),
+            f"corner={sol.flags.corner} argument={sol.argument!r} tau2={sol.tau2_star!r}")
+
+
+def regime_fd_signs(t: Trial) -> Outcome:
+    """Finite-difference signs match the regime labels (baseline solver)."""
+    p, cost, cls = t.params, t.cost, t.labels
+    if (_near_label_boundary(p, cost, t.result) or t.result.flags.corner
+            or t.result.flags.clamped):
+        return None
+    slopes = statics.finite_difference(p, cost, "alpha")
+    if not slopes.regime_stable:
+        return None
+    ok = (slopes.phi > 0) == (cls.prop1 is statics.TurnoverResponse.UP)
+    if cls.prop2 is statics.InvestmentRegime.INVEST_UP:
+        ok &= slopes.tau2 > 0
+    elif cls.prop2 in (statics.InvestmentRegime.WAR, statics.InvestmentRegime.INVEST_DOWN):
+        ok &= slopes.tau2 < 0
     else:
-        bf = brute_force(params, cost, gamma)
-        check("oracle_equivalence", abs(tau2_star - bf) <= 2.0 * grid_step,
-              f"closed={tau2_star!r} grid={bf!r}")
+        ok &= abs(slopes.tau2) <= 1e-8 * p.m / cost.c
+    return ok, (f"prop1={cls.prop1.value} prop2={cls.prop2.value} "
+                f"fd_phi={slopes.phi!r} fd_tau={slopes.tau2!r}")
 
-    # objective is concave in tau2
-    hi_feas = fiscal.max_feasible_tau2(params, cost)
-    grid = np.linspace(params.tau1, hi_feas, 201)
-    vals = eu_I1(params, cost, grid, war)
-    second = np.diff(vals, n=2)
-    check("second_order_condition", bool(np.all(second <= 1e-12)),
-          f"max second difference {float(second.max())!r}")
 
-    # the reported optimum beats nearby feasible points
-    probes = [tau2_star - 10 * grid_step, tau2_star + 10 * grid_step]
-    probes = [t2 for t2 in probes if params.tau1 <= t2 <= hi_feas]
-    v_star = eu_I1(params, cost, tau2_star, war)
-    check("maximality",
-          all(v_star >= eu_I1(params, cost, t2, war) - 1e-12 * max(1.0, abs(v_star))
-              for t2 in probes),
-          "a nearby point beats the reported optimum")
-
-    # corner flag, zero marginal benefit, and tau2*=tau1 line up
-    if flags.clamped:
-        record("corner_consistency", "skip", None)
-    else:
-        agree = (flags.corner == (sol.argument <= 0.0)
-                 == (abs(tau2_star - params.tau1) == 0.0))
-        check("corner_consistency", agree,
-              f"corner={flags.corner} argument={sol.argument!r} tau2={tau2_star!r}")
-
-    # finite-difference signs match the regime labels (baseline solver)
-    cls = statics._labels(result.gamma, statics.investment_condition(params))
-    skip = (_near_label_boundary(params, cost, result) or result.flags.corner
-            or result.flags.clamped)
-    slopes = None if skip else statics.finite_difference(params, cost, "alpha")
-    if slopes is None or not slopes.regime_stable:
-        record("regime_fd_signs", "skip", None)
-    else:
-        ok = (slopes.phi > 0) == (cls.prop1 is statics.TurnoverResponse.UP)
-        if cls.prop2 is statics.InvestmentRegime.INVEST_UP:
-            ok &= slopes.tau2 > 0
-        elif cls.prop2 in (statics.InvestmentRegime.WAR, statics.InvestmentRegime.INVEST_DOWN):
-            ok &= slopes.tau2 < 0
-        else:
-            ok &= abs(slopes.tau2) <= 1e-8 * params.m / cost.c
-        check("regime_fd_signs", ok,
-              f"prop1={cls.prop1.value} prop2={cls.prop2.value} "
-              f"fd_phi={slopes.phi!r} fd_tau={slopes.tau2!r}")
-
-    # at lam=0 the investment-direction boundary is where epsilon*(1-sigma_d)=mu
-    flat = params.replace(lam=0.0)
+def invest_boundary_lambda_zero(t: Trial) -> Outcome:
+    """At lam=0 the investment-direction boundary is where epsilon*(1-sigma_d)=mu."""
+    flat = t.params.replace(lam=0.0)
     eps_star = flat.mu / (1.0 - flat.sigma_d)
     lo_eps, hi_eps = eps_star - 0.01, eps_star + 0.01
     if hi_eps >= 1.0 or lo_eps <= flat.mu:
-        record("invest_boundary_lambda_zero", "skip", None)
-    else:
-        lo_2 = statics.classify(flat.replace(epsilon=lo_eps)).prop2
-        hi_2 = statics.classify(flat.replace(epsilon=hi_eps)).prop2
-        if statics.InvestmentRegime.WAR in (lo_2, hi_2):
-            record("invest_boundary_lambda_zero", "skip", None)
-        else:
-            check("invest_boundary_lambda_zero",
-                  lo_2 is statics.InvestmentRegime.INVEST_DOWN
-                  and hi_2 is statics.InvestmentRegime.INVEST_UP,
-                  "labels did not flip across the boundary")
+        return None
+    lo_2 = statics.classify(flat.replace(epsilon=lo_eps)).prop2
+    hi_2 = statics.classify(flat.replace(epsilon=hi_eps)).prop2
+    if statics.InvestmentRegime.WAR in (lo_2, hi_2):
+        return None
+    return (lo_2 is statics.InvestmentRegime.INVEST_DOWN
+            and hi_2 is statics.InvestmentRegime.INVEST_UP,
+            "labels did not flip across the boundary")
 
-    # constitutional stage: share validity and the binding acceptance constraint
-    outcome = bargaining.bargaining_outcome(bparams)
-    if outcome.regime is not bargaining.BargainingRegime.ACCEPTED_POSITIVE:
-        record("bargain_share_valid", "skip", None)
-        record("bargain_offer_beats_war", "skip", None)
-        record("bargain_share_monotonic", "skip", None)
-    else:
-        share = outcome.sigma_d2_star
-        slack = (bargaining.inside_value(bparams, share, 0.5)
-                 - bargaining.reservation_value(bparams, 0.5))
-        check("bargain_share_valid",
-              0.0 < share <= 1.0 and abs(slack) <= 1e-10,
-              f"share={share!r} slack={slack!r}")
-        check("bargain_offer_beats_war",
-              bargaining.offer_value_I1(bparams, share, 0.5)
-              > bargaining.reject_value_I1(bparams, 0.5),
-              "offering did not beat rejection for the proposer")
-        h = 1e-5
-        ok = True
-        for attr in ("alpha", "sigma_f"):
-            x = getattr(bparams, attr)
-            lo_b = bargaining.bargaining_outcome(bparams.replace(**{attr: max(x - h, 0.0)}))
-            hi_b = bargaining.bargaining_outcome(bparams.replace(**{attr: min(x + h, 1.0)}))
-            if (lo_b.regime is not bargaining.BargainingRegime.ACCEPTED_POSITIVE
-                    or hi_b.regime is not bargaining.BargainingRegime.ACCEPTED_POSITIVE):
-                ok = None
-                break
-            ok &= hi_b.sigma_d2_star > lo_b.sigma_d2_star
-        if ok is None:
-            record("bargain_share_monotonic", "skip", None)
-        else:
-            check("bargain_share_monotonic", bool(ok), "share not increasing")
 
-    # more external risk makes the interior-offer condition harder to satisfy
-    if bparams.alpha + 0.05 > 1.0:
-        record("bargain_interior_shrinks_with_alpha", "skip", None)
-    else:
-        bumped = bparams.replace(alpha=bparams.alpha + 0.05)
-        check("bargain_interior_shrinks_with_alpha",
-              bargaining.condition11_lhs(bumped) > bargaining.condition11_lhs(bparams),
-              "interior condition loosened as alpha rose")
+def bargain_share_valid(t: Trial) -> Outcome:
+    """Constitutional stage: the share is valid and the acceptance constraint binds."""
+    if t.outcome.regime is not bargaining.BargainingRegime.ACCEPTED_POSITIVE:
+        return None
+    share = t.outcome.sigma_d2_star
+    slack = (bargaining.inside_value(t.bparams, share, 0.5)
+             - bargaining.reservation_value(t.bparams, 0.5))
+    return 0.0 < share <= 1.0 and abs(slack) <= 1e-10, f"share={share!r} slack={slack!r}"
 
-    # acceptance never depends on the capacity it will apply to
-    answers = {bargaining.o1_accept_decision(bparams, offer_probe, t2)
+
+def bargain_offer_beats_war(t: Trial) -> Outcome:
+    """The proposer prefers the equilibrium offer to a rejection."""
+    if t.outcome.regime is not bargaining.BargainingRegime.ACCEPTED_POSITIVE:
+        return None
+    return (bargaining.offer_value_I1(t.bparams, t.outcome.sigma_d2_star, 0.5)
+            > bargaining.reject_value_I1(t.bparams, 0.5),
+            "offering did not beat rejection for the proposer")
+
+
+def bargain_share_monotonic(t: Trial) -> Outcome:
+    """The share rises with alpha and sigma_f; skipped once a probe leaves 4.A."""
+    if t.outcome.regime is not bargaining.BargainingRegime.ACCEPTED_POSITIVE:
+        return None
+    h = 1e-5
+    ok = True
+    for attr in ("alpha", "sigma_f"):
+        x = getattr(t.bparams, attr)
+        lo_b = bargaining.bargaining_outcome(t.bparams.replace(**{attr: max(x - h, 0.0)}))
+        hi_b = bargaining.bargaining_outcome(t.bparams.replace(**{attr: min(x + h, 1.0)}))
+        if (lo_b.regime is not bargaining.BargainingRegime.ACCEPTED_POSITIVE
+                or hi_b.regime is not bargaining.BargainingRegime.ACCEPTED_POSITIVE):
+            return None
+        ok &= hi_b.sigma_d2_star > lo_b.sigma_d2_star
+    return ok, "share not increasing"
+
+
+def bargain_interior_shrinks_with_alpha(t: Trial) -> Outcome:
+    """More external risk makes the interior-offer condition harder to satisfy."""
+    if t.bparams.alpha + 0.05 > 1.0:
+        return None
+    bumped = t.bparams.replace(alpha=t.bparams.alpha + 0.05)
+    return (bargaining.condition11_lhs(bumped) > bargaining.condition11_lhs(t.bparams),
+            "interior condition loosened as alpha rose")
+
+
+def bargain_accept_tau2_independent(t: Trial) -> Outcome:
+    """Acceptance never depends on the capacity it will apply to."""
+    answers = {bargaining.o1_accept_decision(t.bparams, t.offer_probe, t2)
                for t2 in (0.1, 0.5, 1.0)}
-    check("bargain_accept_tau2_independent", len(answers) == 1,
-          f"decision varied with tau2 at offer {offer_probe!r}")
+    return len(answers) == 1, f"decision varied with tau2 at offer {t.offer_probe!r}"
 
-    # the revolution rule never raises the war threshold
-    t_prime = vresult.sigma_f_bar
+
+def variant_threshold_ordering(t: Trial) -> Outcome:
+    """The revolution rule never raises the war threshold."""
+    threshold, t_prime = t.result.sigma_f_bar, t.vresult.sigma_f_bar
     if threshold is None or t_prime is None:
-        record("variant_threshold_ordering", "skip", None)
-    else:
-        check("variant_threshold_ordering", t_prime <= threshold + 1e-12,
-              f"prime={t_prime!r} baseline={threshold!r}")
+        return None
+    return t_prime <= threshold + 1e-12, f"prime={t_prime!r} baseline={threshold!r}"
 
-    # at zero cohesiveness the rule pays nothing anyway: variants coincide
-    zero = params.replace(sigma_d=0.0)
+
+def variant_equal_at_zero_cohesion(t: Trial) -> Outcome:
+    """At zero cohesiveness the rule pays nothing anyway: variants coincide."""
+    zero = t.params.replace(sigma_d=0.0)
     t0, t0p = conflict.civil_war_threshold(zero), revolution.revolution_threshold(zero)
-    base0 = fiscal.solve_equilibrium(zero, cost)
-    var0 = revolution.revolution_solve(zero, cost)
+    base0 = fiscal.solve_equilibrium(zero, t.cost)
+    var0 = revolution.revolution_solve(zero, t.cost)
     same_threshold = ((t0 is None and t0p is None)
                       or (t0 is not None and t0p is not None and abs(t0 - t0p) <= 1e-12))
-    check("variant_equal_at_zero_cohesion",
-          same_threshold and base0.gamma == var0.gamma
-          and base0.tau2_star == var0.tau2_star,
-          f"baseline={base0.tau2_star!r} variant={var0.tau2_star!r}")
+    return (same_threshold and base0.gamma == var0.gamma
+            and base0.tau2_star == var0.tau2_star,
+            f"baseline={base0.tau2_star!r} variant={var0.tau2_star!r}")
 
-    # without a war there is no revolution: peace solves are identical
-    if vresult.gamma == 1:
-        record("variant_peace_identity", "skip", None)
-    else:
-        check("variant_peace_identity",
-              result.gamma == 0 and vresult.tau2_star == result.tau2_star,
-              f"variant={vresult.tau2_star!r} baseline={result.tau2_star!r}")
 
-    # interior variant war solutions move against external risk at known slope
-    vflags = vresult.flags
-    if vresult.gamma == 0 or vflags.corner or vflags.clamped:
-        record("variant_war_derivative", "skip", None)
-    else:
-        h = 1e-6
-        expected = -params.m * (params.omega - params.delta + params.rho) / cost.c
-        lo_v = revolution.revolution_solve(params.replace(alpha=params.alpha - h), cost)
-        hi_v = revolution.revolution_solve(params.replace(alpha=params.alpha + h), cost)
-        if not (lo_v.gamma == hi_v.gamma == 1 and lo_v.flags == hi_v.flags == vflags):
-            record("variant_war_derivative", "skip", None)
-        else:
-            fd = (hi_v.tau2_star - lo_v.tau2_star) / (2.0 * h)
-            check("variant_war_derivative",
-                  fd < 0 and _rel_close(fd, expected, 1e-6),
-                  f"fd={fd!r} expected={expected!r}")
+def variant_peace_identity(t: Trial) -> Outcome:
+    """Without a war there is no revolution: peace solves are identical."""
+    if t.vresult.gamma == 1:
+        return None
+    return (t.result.gamma == 0 and t.vresult.tau2_star == t.result.tau2_star,
+            f"variant={t.vresult.tau2_star!r} baseline={t.result.tau2_star!r}")
 
-    # the variant closed form also matches its own grid oracle
-    if vflags.clamped:
-        record("variant_oracle_equivalence", "skip", None)
-    else:
-        bf = revolution.brute_force_tau2_variant(params, cost, vresult.gamma)
-        check("variant_oracle_equivalence",
-              abs(vresult.tau2_star - bf) <= 2.0 * grid_step,
-              f"closed={vresult.tau2_star!r} grid={bf!r}")
 
-    regime_label = f"{cls.prop1.value}/{cls.prop2.value}/{cls.prop3.value}"
-    bargain_label = outcome.regime.value
-    detail_params = f"params={params!r} bargaining_params={bparams!r} cost={cost!r}"
-    outcomes = [(n, s, None if d is None else f"{d}; {detail_params}")
-                for n, s, d in outcomes]
-    return outcomes, regime_label, bargain_label
+def variant_war_derivative(t: Trial) -> Outcome:
+    """Interior variant war solutions move against external risk at known slope."""
+    p, vflags = t.params, t.vresult.flags
+    if t.vresult.gamma == 0 or vflags.corner or vflags.clamped:
+        return None
+    h = 1e-6
+    expected = -p.m * (p.omega - p.delta + p.rho) / t.cost.c
+    lo_v = revolution.revolution_solve(p.replace(alpha=p.alpha - h), t.cost)
+    hi_v = revolution.revolution_solve(p.replace(alpha=p.alpha + h), t.cost)
+    if not (lo_v.gamma == hi_v.gamma == 1 and lo_v.flags == hi_v.flags == vflags):
+        return None
+    fd = (hi_v.tau2_star - lo_v.tau2_star) / (2.0 * h)
+    return fd < 0 and _rel_close(fd, expected, 1e-6), f"fd={fd!r} expected={expected!r}"
+
+
+def variant_oracle_equivalence(t: Trial) -> Outcome:
+    """The variant closed form also matches its own grid oracle."""
+    if t.vresult.flags.clamped:
+        return None
+    bf = revolution.brute_force_tau2_variant(t.params, t.cost, t.vresult.gamma)
+    return (abs(t.vresult.tau2_star - bf) <= 2.0 * fiscal.GRID_STEP,
+            f"closed={t.vresult.tau2_star!r} grid={bf!r}")
+
+
+# every property, in report order
+PROPERTIES = (
+    budget_identity, utility_affine_in_tau2, war_peace_sign_invariance,
+    scale_invariance, threshold_decision_agreement, threshold_at_full_cohesion,
+    threshold_sensitivity_fd, turnover_alpha_derivative, oracle_equivalence,
+    second_order_condition, maximality, corner_consistency, regime_fd_signs,
+    invest_boundary_lambda_zero, bargain_share_valid, bargain_offer_beats_war,
+    bargain_share_monotonic, bargain_interior_shrinks_with_alpha,
+    bargain_accept_tau2_independent, variant_threshold_ordering,
+    variant_equal_at_zero_cohesion, variant_peace_identity, variant_war_derivative,
+    variant_oracle_equivalence,
+)
+PROPERTY_NAMES = [prop.__name__ for prop in PROPERTIES]
 
 
 def run_trials(trials: int, seed: int, variant: str = "baseline",
@@ -408,21 +407,22 @@ def run_trials(trials: int, seed: int, variant: str = "baseline",
         report.properties[name] = PropertyStats()
 
     for trial in range(trials):
-        outcomes, regime_label, bargain_label = _trial_outcomes(trial, seed, variant)
-        for name, status, detail in outcomes:
-            stats = report.properties[name]
-            if status == "pass":
+        t = _make_trial(trial, seed, variant)
+        for prop in PROPERTIES:
+            stats, outcome = report.properties[prop.__name__], prop(t)
+            if outcome is None:
+                stats.skipped += 1
+            elif outcome[0]:
                 stats.passed += 1
-            elif status == "fail":
+            else:
                 stats.failed += 1
                 if len(report.counterexamples) < max_counterexamples:
                     report.counterexamples.append(
-                        f"{name} trial={trial}: {detail}")
-            else:
-                stats.skipped += 1
-        key = f"regime[{regime_label}]"
+                        f"{prop.__name__} trial={trial}: {outcome[1]}; params={t.params!r} "
+                        f"bargaining_params={t.bparams!r} cost={t.cost!r}")
+        key = "regime[" + "/".join(label.value for label in t.labels) + "]"
         report.regime_counts[key] = report.regime_counts.get(key, 0) + 1
-        bkey = f"bargaining[{bargain_label}]"
+        bkey = f"bargaining[{t.outcome.regime.value}]"
         report.regime_counts[bkey] = report.regime_counts.get(bkey, 0) + 1
     return report
 

@@ -427,6 +427,25 @@ def test_verify_small_run_and_determinism(capsys):
     assert "result: PASS" in first
 
 
+def test_verify_failing_run_exits_two(capsys):
+    # The known sigma_d = 0 tolerance false alarm: at trial 13 the baseline and
+    # revolution thresholds at sigma_d = 0 differ by rounding alone, above the
+    # property's absolute 1e-12 tolerance. ROADMAP items 1 and 10 replace it
+    # with a relative tolerance, which turns this run into a PASS and
+    # re-records the digest.
+    assert main(["verify", "--trials", "14", "--seed", "0"]) == 2
+    out = capsys.readouterr().out
+    lines = out.splitlines()
+    counterexamples = lines[lines.index("counterexamples:") + 1:-1]
+    assert len(counterexamples) == 1
+    assert counterexamples[0].startswith(
+        "  variant_equal_at_zero_cohesion trial=13: baseline=")
+    assert lines[-1] == "result: FAIL (1 failing checks)"
+    assert out.endswith("\n")
+    assert hashlib.sha256(out[:-1].encode()).hexdigest() == (
+        "5c85f5f154a5d09a176b3785709a48bf8b900de21f40d617f776b187abf292bb")
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "fiscap.cli", "verify", "--trials", "2"],

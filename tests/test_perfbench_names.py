@@ -5,29 +5,43 @@ in every fiscap module by identity. A renamed or deleted name breaks every
 traced benchmark run, and a call made through a reference captured at import
 time escapes the trace; both show up here in seconds. A small traced sweep
 checks the per-point call rates behind the regime-map counts that
-perfbench/check.py pins, which take half a minute to trace in full.
+perfbench/check.py pins, which take half a minute to trace in full. The
+benchmark's verify gate (perfbench/gate.py) reads the report's property
+order and counterexample format; a short run checks that it still does.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from fiscap import CostSpec, parse_config_text, validate_params
 from fiscap.cli import parse_axis, solve_report, sweep_rows
+from fiscap.verify import PROPERTY_NAMES, render_report, run_trials
 
 from conftest import REGIME_MAP_CONFIG, regime_map_point
 
-TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("tracer")
+
+
+@pytest.fixture(scope="module")
+def gate():
+    return _load("gate")
 
 
 def test_every_traced_name_resolves(tracer):
@@ -74,3 +88,20 @@ def test_traced_sweep_call_rates(tracer):
     # two war decisions and 18 indirect utilities per valid point
     assert per_function["conflict.civil_war_decision"]["calls"] == 40
     assert per_function["policy.indirect_utility"]["calls"] == 360
+
+
+def test_verify_gate_accepts_a_clean_run(gate):
+    # seed 5: the gate checks accounting and counterexamples but no
+    # reference digest, which exists for seed 0's 1000 trials only
+    trials = 30
+    report = run_trials(trials, 5, max_counterexamples=trials * len(PROPERTY_NAMES))
+    verify_gate = gate.VerifyGate("verify", 5, SimpleNamespace(trials=trials))
+    assert verify_gate.check(report, render_report(report)) == 0
+
+
+def test_verify_gate_forgives_the_zero_cohesion_false_alarm(gate):
+    report = run_trials(14, 0)
+    [entry] = report.counterexamples
+    match = gate.CEX.match(entry)
+    assert match.group(1, 2) == ("variant_equal_at_zero_cohesion", "13")
+    assert gate.is_false_alarm(match.group(1), match.group(3))

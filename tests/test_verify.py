@@ -1,12 +1,16 @@
 """The randomized property harness: determinism, accounting, and clean runs."""
 
 import hashlib
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from fiscap import (PROPERTY_NAMES, civil_war_threshold, investment_condition,
-                    render_report, run_trials, solve_equilibrium)
-from fiscap.verify import _near_label_boundary
+from fiscap import (PROPERTY_NAMES, OutcomeKind, TurnoverResponse, civil_war_threshold,
+                    investment_condition, render_report, run_trials, solve_equilibrium,
+                    verify)
+from fiscap.fiscal import GRID_STEP
+from fiscap.verify import PROPERTIES, _make_trial, _near_label_boundary
 
 from conftest import regime_map_point
 
@@ -35,7 +39,12 @@ def test_small_run_passes_with_full_accounting():
     trials = 60
     report = run_trials(trials, seed=42)
     assert report.failures == 0
-    assert set(report.properties) == set(PROPERTY_NAMES)
+    # perfbench/gate.py compares the report's keys with PROPERTY_NAMES as a list
+    assert type(PROPERTY_NAMES) is list
+    assert list(report.properties) == PROPERTY_NAMES
+    # one name per registered function; the digest below pins their order
+    assert PROPERTY_NAMES == [prop.__name__ for prop in PROPERTIES]
+    assert len(set(PROPERTY_NAMES)) == len(PROPERTY_NAMES) == 24
     for name, stats in report.properties.items():
         assert stats.passed + stats.failed + stats.skipped == trials, name
     assert sum(v for k, v in report.regime_counts.items()
@@ -92,3 +101,58 @@ def test_fd_sign_guard_near_label_boundaries(p0c, cost):
                            (base, False), (p0c, False)):
         result = solve_equilibrium(point, cost)
         assert _near_label_boundary(point, cost, result) == guarded
+
+
+def _shift_tau2(sol):
+    return replace(sol, tau2_star=sol.tau2_star + 10 * GRID_STEP)
+
+
+def _unbalance_period2(t):
+    kind = OutcomeKind.INCUMBENT_RETAINS
+    pol = t.result.period2_by_kind[kind]
+    by_kind = {**t.result.period2_by_kind, kind: replace(pol, r_inc=pol.r_inc + 1e-6)}
+    return replace(t, result=replace(t.result, period2_by_kind=by_kind))
+
+
+def _flip_turnover_label(t):
+    up = t.labels.prop1 is TurnoverResponse.UP
+    return replace(t, labels=t.labels._replace(
+        prop1=TurnoverResponse.DOWN if up else TurnoverResponse.UP))
+
+
+# each property against one field of a trial broken the way the property
+# exists to catch
+BREAKS = [
+    (verify.budget_identity, _unbalance_period2),
+    (verify.threshold_decision_agreement,
+     lambda t: replace(t, result=replace(t.result, gamma=1 - t.result.gamma))),
+    (verify.oracle_equivalence, lambda t: replace(t, sol=_shift_tau2(t.sol))),
+    (verify.second_order_condition,
+     lambda t: replace(t, eu_I1=lambda params, cost, tau2, war: np.asarray(tau2) ** 2)),
+    (verify.maximality, lambda t: replace(t, sol=_shift_tau2(t.sol))),
+    (verify.corner_consistency,
+     lambda t: replace(t, sol=replace(t.sol, flags=replace(
+         t.sol.flags, corner=not t.sol.flags.corner)))),
+    (verify.regime_fd_signs, _flip_turnover_label),
+    (verify.bargain_share_valid,
+     lambda t: replace(t, outcome=replace(t.outcome,
+                                          sigma_d2_star=t.outcome.sigma_d2_star / 2))),
+    (verify.variant_threshold_ordering,
+     lambda t: replace(t, vresult=replace(t.vresult,
+                                          sigma_f_bar=t.result.sigma_f_bar + 0.1))),
+    (verify.variant_peace_identity, lambda t: replace(t, vresult=_shift_tau2(t.vresult))),
+    (verify.variant_oracle_equivalence,
+     lambda t: replace(t, vresult=_shift_tau2(t.vresult))),
+]
+
+
+@pytest.mark.parametrize("prop, break_trial", BREAKS,
+                         ids=[prop.__name__ for prop, _ in BREAKS])
+def test_property_fails_on_a_broken_trial(prop, break_trial):
+    # the first seed-0 trial on which the property passes
+    trial = next(t for t in (_make_trial(i, 0, "baseline") for i in range(100))
+                 if prop(t) is not None and prop(t)[0])
+    outcome = prop(break_trial(trial))
+    assert outcome is not None
+    passed, detail = outcome
+    assert not passed and isinstance(detail, str)
