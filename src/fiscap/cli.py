@@ -12,8 +12,8 @@ from typing import List, Optional, Tuple
 
 from .bargaining import bargaining_outcome, check_bargaining_assumptions, classify_prop5
 from .fiscal import solve_equilibrium
-from .params import (AssumptionViolation, CostSpec, FIELD_ORDER, ModelParams,
-                     parse_config_text, validate_params)
+from .params import (AssumptionViolation, CostSpec, DEFAULTS, FIELD_ORDER, KEY_TO_ATTR,
+                     ModelParams, parse_config_text, validate_params)
 from .revolution import VARIANTS, _check_variant, revolution_solve
 from .statics import _labels, classify, investment_condition
 from .verify import render_report, run_trials
@@ -209,16 +209,25 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         cost = parse_cost(args.cost)
         with open(args.config, "r", encoding="utf-8") as fh:
-            params = validate_params(parse_config_text(fh.read()),
-                                     bargaining=args.command == "bargain")
+            raw = parse_config_text(fh.read())
+        if args.command == "bargain":
+            # every field present and in range: one error lists model, then stage codes
+            try:
+                params, found = validate_params(raw, bargaining=True), []
+            except AssumptionViolation as exc:
+                if any(":" in v.which for v in exc.violations):  # missing:, range:, ...
+                    raise
+                params = ModelParams(**{KEY_TO_ATTR[k]: v
+                                        for k, v in {**DEFAULTS, **raw}.items()})
+                found = exc.violations
+            found = found + check_bargaining_assumptions(params)
+            if found:
+                raise AssumptionViolation(found)
+            print(bargain_report(params, cost))
+            return 0
+        params = validate_params(raw)
         if args.command == "solve":
             print(solve_report(params, cost, args.variant))
-            return 0
-        if args.command == "bargain":
-            violations = check_bargaining_assumptions(params)
-            if violations:
-                raise AssumptionViolation(violations)
-            print(bargain_report(params, cost))
             return 0
         axis1 = parse_axis(args.axis1)
         axis2 = parse_axis(args.axis2) if args.axis2 else None

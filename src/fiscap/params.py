@@ -99,9 +99,13 @@ class CostSpec:
         if self.kind == "quadratic":
             if not 0.0 < self.c < math.inf:
                 raise ValueError(f"quadratic cost requires finite c > 0, got {self.c!r}")
+            if len(self.knots) or len(self.marginals):
+                raise ValueError("quadratic cost takes no knot or marginal table")
             return
         if self.kind != "custom":
             raise ValueError(f"unknown cost kind: {self.kind}")
+        if self.c != 1.0:
+            raise ValueError(f"custom cost takes its scale from the table, not c={self.c!r}")
         xs = np.asarray(self.knots, dtype=float)
         ms = np.asarray(self.marginals, dtype=float)
         if xs.size < 2 or xs.size != ms.size:

@@ -2,13 +2,12 @@
 
 Both periods have corner policy solutions: the ruler taxes at capacity and
 splits the proceeds according to the mandated transfer shares. All utilities
-are per member of the viewing group. Expected utilities accept scalar or
-array tau2 so grid oracles can evaluate them vectorized.
+are per member of the viewing group. Utilities take tau2 as a float or a
+numpy array, so grid oracles can evaluate them vectorized.
 """
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Union
 
 import numpy as np
 
@@ -24,7 +23,8 @@ class OutcomeKind(Enum):
     FOREIGN_ADMINISTRATION = "foreign_administration"
 
 
-DOMESTIC_KINDS = (OutcomeKind.INCUMBENT_RETAINS, OutcomeKind.OPPOSITION_RULES)
+_OPPOSITION_RULERS = (OutcomeKind.OPPOSITION_RULES,
+                      OutcomeKind.OPPOSITION_RULES_POST_REVOLUTION)
 
 
 class InfeasibleInvestment(ValueError):
@@ -53,61 +53,58 @@ class PolicyOutcome:
         return (revenue - spend) / max(1.0, abs(revenue))
 
 
+def _transfers(kind: OutcomeKind, tau2, sigma_d: float, sigma_f: float, m: float):
+    """Period-2 per-member transfers (r_inc, r_opp, r_f) under the given ruler;
+    tau2 is a float or a numpy array."""
+    if kind is OutcomeKind.INCUMBENT_RETAINS or kind is OutcomeKind.OPPOSITION_RULES:
+        r_inc = 2.0 * tau2 * m / (1.0 + sigma_d)
+        return r_inc, sigma_d * r_inc, 0.0
+    if kind is OutcomeKind.FOREIGN_ADMINISTRATION:
+        return (0.0, 2.0 * sigma_f * tau2 * m / (2.0 + sigma_f),
+                2.0 * tau2 * m / (2.0 + sigma_f))
+    if kind is OutcomeKind.OPPOSITION_RULES_POST_REVOLUTION:
+        # the winner owes the loser nothing
+        return 2.0 * tau2 * m, 0.0, 0.0
+    raise ValueError(f"ruler must be an OutcomeKind, got {kind!r}")
+
+
+def _period1(tau1: float, tau2, sigma_d: float, m: float, cost: CostSpec):
+    """Period-1 investment cost and ruling-group transfer at capacity tau2;
+    raises InfeasibleInvestment if any investment exceeds period-1 revenue."""
+    invest = cost.value(tau2 - tau1)
+    if np.any(invest > tau1 * m):
+        raise InfeasibleInvestment(
+            f"investment cost exceeds period-1 revenue {tau1 * m:.6g}")
+    return invest, 2.0 * (tau1 * m - invest) / (1.0 + sigma_d)
+
+
 def period2_policy(kind: OutcomeKind, tau2: float, sigma_d: float,
                    sigma_f: float, m: float) -> PolicyOutcome:
     """Period-2 corner policy for the given ruler."""
     if not 0.0 <= tau2 <= 1.0:
         raise ValueError(f"tau2={tau2!r} must be in [0, 1]")
-    if kind in DOMESTIC_KINDS:
-        r_inc = 2.0 * tau2 * m / (1.0 + sigma_d)
-        return PolicyOutcome(t=tau2, r_inc=r_inc, r_opp=sigma_d * r_inc, r_f=0.0)
-    if kind is OutcomeKind.FOREIGN_ADMINISTRATION:
-        r_f = 2.0 * tau2 * m / (2.0 + sigma_f)
-        return PolicyOutcome(t=tau2, r_inc=0.0, r_opp=sigma_f * r_f, r_f=r_f)
-    # post-revolution: the winner owes the loser nothing
-    return PolicyOutcome(t=tau2, r_inc=2.0 * tau2 * m, r_opp=0.0, r_f=0.0)
+    return PolicyOutcome(tau2, *_transfers(kind, tau2, sigma_d, sigma_f, m))
 
 
 def period1_policy(tau1: float, tau2: float, sigma_d: float, m: float,
                    cost: CostSpec) -> PolicyOutcome:
     """Period-1 corner policy: tax at capacity, pay the investment, split the rest."""
-    invest = cost.value(tau2 - tau1)
-    if invest > tau1 * m:
-        raise InfeasibleInvestment(
-            f"investment cost {invest:.6g} exceeds period-1 revenue {tau1 * m:.6g}")
-    r_inc = 2.0 * (tau1 * m - invest) / (1.0 + sigma_d)
+    invest, r_inc = _period1(tau1, tau2, sigma_d, m, cost)
     return PolicyOutcome(t=tau1, r_inc=r_inc, r_opp=sigma_d * r_inc, r_f=0.0,
                          invest_cost=invest)
 
 
 def indirect_utility(viewer: str, kind: OutcomeKind, tau2, params: ModelParams):
-    """Period-2 indirect utility of `viewer` ("I1" or "O1") under the given ruler.
-
-    Accepts scalar or array tau2.
-    """
-    tau2 = np.asarray(tau2, dtype=float)
-    base = (1.0 - tau2) * params.m
-    inc_share = 2.0 * tau2 * params.m / (1.0 + params.sigma_d)
-    if viewer == "O1":
-        if kind is OutcomeKind.OPPOSITION_RULES:
-            out = base + inc_share
-        elif kind is OutcomeKind.INCUMBENT_RETAINS:
-            out = base + params.sigma_d * inc_share
-        elif kind is OutcomeKind.FOREIGN_ADMINISTRATION:
-            out = base + 2.0 * params.sigma_f * tau2 * params.m / (2.0 + params.sigma_f)
-        else:
-            out = base + 2.0 * tau2 * params.m
-    elif viewer == "I1":
-        if kind is OutcomeKind.INCUMBENT_RETAINS:
-            out = base + inc_share
-        elif kind is OutcomeKind.OPPOSITION_RULES:
-            out = base + params.sigma_d * inc_share
-        else:
-            # foreign administration and post-revolution leave the old incumbent nothing
-            out = base
-    else:
+    """Period-2 indirect utility of `viewer` ("I1" or "O1") under the given
+    ruler: after-tax income plus the transfer `period2_policy` pays the
+    viewer's group. tau2 is a float or a numpy array."""
+    if viewer not in ("I1", "O1"):
         raise ValueError(f"viewer must be 'I1' or 'O1', got {viewer!r}")
-    return out if out.ndim else float(out)
+    r_inc, r_opp, _ = _transfers(kind, tau2, params.sigma_d, params.sigma_f, params.m)
+    # O1's group rules after an opposition win, I1's otherwise (r_inc = 0 under foreign rule)
+    o1_rules = kind in _OPPOSITION_RULERS
+    out = (1.0 - tau2) * params.m + (r_inc if o1_rules == (viewer == "O1") else r_opp)
+    return out if isinstance(out, np.ndarray) else float(out)
 
 
 def _mixture(params: ModelParams, viewer: str, tau2, war: bool,
@@ -137,14 +134,10 @@ def _expected_I1(params: ModelParams, cost: CostSpec, tau2, war: bool,
                  war_ruler: OutcomeKind):
     """I1's total expected utility when an opposition that takes power on the
     war branch rules as `war_ruler`."""
-    tau2_arr = np.asarray(tau2, dtype=float)
-    invest = cost.value(tau2_arr - params.tau1)
-    if np.any(np.asarray(invest) > params.tau1 * params.m):
-        raise InfeasibleInvestment("investment cost exceeds period-1 revenue")
-    period1 = ((1.0 - params.tau1) * params.m
-               + 2.0 * (params.tau1 * params.m - invest) / (1.0 + params.sigma_d))
-    out = np.asarray(period1 + _mixture(params, "I1", tau2_arr, war, war_ruler))
-    return out if out.ndim else float(out)
+    _, r_inc = _period1(params.tau1, tau2, params.sigma_d, params.m, cost)
+    out = ((1.0 - params.tau1) * params.m + r_inc
+           + _mixture(params, "I1", tau2, war, war_ruler))
+    return out if isinstance(out, np.ndarray) else float(out)
 
 
 def expected_utility_O1(params: ModelParams, tau2, war: bool):
@@ -154,7 +147,6 @@ def expected_utility_O1(params: ModelParams, tau2, war: bool):
 
 def expected_utility_I1(params: ModelParams, cost: CostSpec, tau2, war: bool):
     """I1's total expected utility: period-1 value net of investment plus the
-    expected period-2 value. Accepts scalar or array tau2; raises
-    InfeasibleInvestment if any point costs more than period-1 revenue.
-    """
+    expected period-2 value. tau2 is a float or a numpy array; raises
+    InfeasibleInvestment if any point costs more than period-1 revenue."""
     return _expected_I1(params, cost, tau2, war, OutcomeKind.OPPOSITION_RULES)

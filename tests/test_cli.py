@@ -120,6 +120,13 @@ def test_bargain_rejects_epsilon_delta_gap(tmp_path, capsys):
     path.write_text(P1_TEXT.replace("delta = 0.3", "delta = 0.4"))
     assert main(["bargain", "--config", str(path)]) == 1
     assert "requires epsilon = delta" in capsys.readouterr().err
+    # every field present and in range: the model's violations and the stage's
+    # come in one error line, the model's first
+    path.write_text(P1_TEXT.replace("epsilon = 0.3", "epsilon = 0.6")
+                    .replace("rho = 0.4", "rho = 0.05"))
+    assert main(["bargain", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == ("error: requires rho > mu; requires epsilon <= 1/2; "
+                                       "requires epsilon = delta\n")
 
 
 def test_bargain_alpha_zero_regime(tmp_path, capsys):

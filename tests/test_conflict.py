@@ -8,6 +8,8 @@ from fiscap import (ModelParams, UndefinedThreshold, civil_war_decision,
                     civil_war_threshold, expected_utility_O1,
                     threshold_sensitivities, turnover_probability)
 
+from fiscap.conflict import ConflictDecision, _decide
+
 from conftest import draw_params, regime_map_point
 
 # a point whose threshold denominator is negative: epsilon large enough that
@@ -62,6 +64,21 @@ def test_decision_falls_back_to_direct_comparison():
     war = expected_utility_O1(NO_THRESHOLD, 1.0, True)
     peace = expected_utility_O1(NO_THRESHOLD, 1.0, False)
     assert decision.gamma == (1 if war > peace else 0)
+
+
+def test_decide_raises_when_the_routes_disagree(p0c):
+    # p0c chooses peace by a clear margin; a threshold below sigma_f says war
+    assert civil_war_decision(p0c).gamma == 0
+    with pytest.raises(AssertionError, match="war-decision routes disagree"):
+        _decide(p0c, expected_utility_O1, lambda p: p.sigma_f - 0.01)
+
+
+def test_decide_resolves_a_disagreement_at_exact_indifference_to_peace(p0c):
+    # alpha = 0 and delta = epsilon make war and peace equal bit for bit
+    tie = p0c.replace(alpha=0.0, delta=p0c.epsilon)
+    assert expected_utility_O1(tie, 1.0, True) == expected_utility_O1(tie, 1.0, False)
+    decision = _decide(tie, expected_utility_O1, lambda p: p.sigma_f - 0.01)
+    assert decision == ConflictDecision(gamma=0, threshold=tie.sigma_f - 0.01)
 
 
 def test_sensitivities_worked_point(p0a):

@@ -277,6 +277,24 @@ def test_custom_cost_rejects_nonconvex_table():
                  marginals=(0.0, 0.4, 0.3))
 
 
+def test_cost_spec_rejects_contradictory_fields():
+    for knots, marginals in (((0, 1), (0, 5)), ((0, 1), ()), ((), (0, 5))):
+        with pytest.raises(ValueError, match="quadratic cost takes no"):
+            CostSpec(kind="quadratic", c=2, knots=knots, marginals=marginals)
+    with pytest.raises(ValueError, match="not c=7"):
+        CostSpec(kind="custom", c=7, knots=(0, 1), marginals=(0, 5))
+    assert CostSpec(kind="custom", c=1, knots=(0, 1), marginals=(0, 5)).value(0.5) == 0.625
+
+
+def test_cost_spec_rejects_malformed_tables():
+    with pytest.raises(ValueError, match="unknown cost kind"):
+        CostSpec(kind="cubic")
+    with pytest.raises(ValueError, match="matching"):
+        CostSpec(kind="custom", knots=(0.0, 0.5, 1.0), marginals=(0.0, 0.4))
+    with pytest.raises(ValueError, match="knots must be strictly increasing"):
+        CostSpec(kind="custom", knots=(0.0, 0.5, 0.5), marginals=(0.0, 0.4, 0.8))
+
+
 def test_custom_cost_requires_zero_marginal_at_zero():
     with pytest.raises(ValueError):
         CostSpec(kind="custom", knots=(0.0, 1.0), marginals=(0.1, 0.5))

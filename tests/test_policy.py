@@ -11,6 +11,17 @@ from fiscap import (CostSpec, InfeasibleInvestment, ModelParams, OutcomeKind,
 from conftest import draw_params
 
 ALL_KINDS = list(OutcomeKind)
+# the period2_policy field paid to each viewer's group under each ruler
+OWN_TRANSFER = {
+    ("I1", OutcomeKind.INCUMBENT_RETAINS): "r_inc",
+    ("I1", OutcomeKind.OPPOSITION_RULES): "r_opp",
+    ("I1", OutcomeKind.OPPOSITION_RULES_POST_REVOLUTION): "r_opp",
+    ("I1", OutcomeKind.FOREIGN_ADMINISTRATION): "r_inc",  # always 0: I1 gets nothing
+    ("O1", OutcomeKind.INCUMBENT_RETAINS): "r_opp",
+    ("O1", OutcomeKind.OPPOSITION_RULES): "r_inc",
+    ("O1", OutcomeKind.OPPOSITION_RULES_POST_REVOLUTION): "r_inc",
+    ("O1", OutcomeKind.FOREIGN_ADMINISTRATION): "r_opp",
+}
 
 
 def test_period2_incumbent_retains_worked_point():
@@ -183,6 +194,37 @@ def test_expected_utility_vectorized_matches_scalar(p0c, cost):
     vec_o1 = expected_utility_O1(p0c, grid, war=True)
     scalars_o1 = [expected_utility_O1(p0c, t, war=True) for t in grid]
     assert np.array_equal(vec_o1, np.array(scalars_o1))
+    # the payoff contract on a sampled point, whose fields are np.float64:
+    # after-tax income plus the transfer period2_policy pays the viewer's group
+    p = draw_params(seed=14)
+    assert type(p.sigma_d) is np.float64
+    taus = (0.0, 0.37, 1.0)
+    for (viewer, kind), field in OWN_TRANSFER.items():
+        scalars = []
+        for t in taus:
+            transfer = getattr(period2_policy(kind, t, p.sigma_d, p.sigma_f, p.m), field)
+            for tau2 in (t, np.float64(t), np.array(t)):
+                w = indirect_utility(viewer, kind, tau2, p)
+                assert type(w) is float
+                assert w == (1.0 - t) * p.m + transfer
+            scalars.append(w)
+        assert np.array_equal(indirect_utility(viewer, kind, np.array(taus), p), scalars)
+    grid = p.tau1 + np.array([0.0, 0.05, 0.1])
+    for war in (False, True):
+        scalars = [expected_utility_I1(p, cost, t, war) for t in grid.tolist()]
+        assert np.array_equal(expected_utility_I1(p, cost, grid, war), scalars)
+        for tau2 in (grid[1], np.array(grid[1]), float(grid[1])):
+            assert type(expected_utility_I1(p, cost, tau2, war)) is float
+
+
+def test_transfer_rules_reject_a_ruler_that_is_not_an_outcome_kind(p0c):
+    # the strings solve_report prints name the rulers; they are not rulers
+    for kind in ALL_KINDS:
+        with pytest.raises(ValueError, match="OutcomeKind"):
+            period2_policy(kind.value, 0.4, 0.2, 0.05, 1.0)
+        for viewer in ("I1", "O1"):
+            with pytest.raises(ValueError, match="OutcomeKind"):
+                indirect_utility(viewer, kind.value, 0.4, p0c)
 
 
 @given(st.integers(0, 10 ** 6))
