@@ -165,8 +165,16 @@ def write_sweep_csv(path: str, rows: List[str]) -> None:
             fh.write(row + "\n")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error; here 2 means a failed verification."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fiscap",
         description="Equilibrium solver for external threats, civil conflict, "
                     "and fiscal-capacity investment.")
@@ -191,7 +199,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the property suite")
     p_verify.add_argument("--trials", type=int, default=200)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--variant", choices=VARIANTS, default="baseline")
 
     p_bargain = sub.add_parser("bargain", help="solve the constitutional stage")
     add_common(p_bargain)
@@ -203,7 +210,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "verify":
-            report = run_trials(args.trials, args.seed, variant=args.variant)
+            report = run_trials(args.trials, args.seed)
             print(render_report(report))
             return 2 if report.failures else 0
 

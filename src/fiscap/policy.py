@@ -127,7 +127,8 @@ def _mixture(params: ModelParams, viewer: str, tau2, war: bool,
                          + (1.0 - p.mu) * w_keep
                          + p.mu * (1.0 - p.lam) * w_foreign)
         without = p.epsilon * w_opp + (1.0 - p.epsilon) * w_keep
-    return p.alpha * with_conflict + (1.0 - p.alpha) * without
+    out = p.alpha * with_conflict + (1.0 - p.alpha) * without
+    return out if isinstance(out, np.ndarray) else float(out)
 
 
 def _expected_I1(params: ModelParams, cost: CostSpec, tau2, war: bool,

@@ -27,7 +27,6 @@ class PropertyStats:
 class VerifyReport:
     trials: int
     seed: int
-    variant: str
     properties: Dict[str, PropertyStats] = field(default_factory=dict)
     counterexamples: List[str] = field(default_factory=list)
     regime_counts: Dict[str, int] = field(default_factory=dict)
@@ -67,15 +66,12 @@ class Trial:
     offer_probe: float
     result: fiscal.Solution            # baseline solve
     vresult: fiscal.Solution           # revolution solve
-    sol: fiscal.Solution               # the solve of the variant under test
-    eu_I1: Callable                    # that variant's objective
-    brute_force: Callable              # and its grid oracle
     hi_feas: float                     # the largest feasible tau2
     labels: statics.RegimeClassification  # from the baseline solve
     outcome: bargaining.BargainingOutcome
 
 
-def _make_trial(trial: int, seed: int, variant: str) -> Trial:
+def _make_trial(trial: int, seed: int) -> Trial:
     """Draw one trial's inputs (every draw first, in a fixed order) and solve them."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, trial)))
     params = sample_params(rng)
@@ -86,16 +82,17 @@ def _make_trial(trial: int, seed: int, variant: str) -> Trial:
 
     result = fiscal.solve_equilibrium(params, cost)
     vresult = revolution.revolution_solve(params, cost)
-    if variant == "revolution":
-        sol, eu_I1, brute_force = (vresult, revolution.expected_utility_I1_variant,
-                                   revolution.brute_force_tau2_variant)
-    else:
-        sol, eu_I1, brute_force = result, policy.expected_utility_I1, fiscal.brute_force_tau2
     hi_feas = fiscal.max_feasible_tau2(params, cost)
     labels = statics._labels(result.gamma, statics.investment_condition(params))
     outcome = bargaining.bargaining_outcome(bparams)
-    return Trial(params, cost, bparams, tau2_probe, offer_probe, result, vresult, sol,
-                 eu_I1, brute_force, hi_feas, labels, outcome)
+    return Trial(params, cost, bparams, tau2_probe, offer_probe, result, vresult,
+                 hi_feas, labels, outcome)
+
+
+def _objectives(t: Trial) -> Tuple[Tuple[fiscal.Solution, Callable], ...]:
+    """Each solve with its objective: the baseline's, then the variant's."""
+    return ((t.result, policy.expected_utility_I1),
+            (t.vresult, revolution.expected_utility_I1_variant))
 
 
 def budget_identity(t: Trial) -> Outcome:
@@ -136,7 +133,7 @@ def war_peace_sign_invariance(t: Trial) -> Outcome:
 
 def scale_invariance(t: Trial) -> Outcome:
     """Income is a pure scale at zero investment."""
-    p, k, war = t.params, 3.0, t.sol.gamma == 1
+    p, k, war = t.params, 3.0, t.result.gamma == 1
     scaled = p.replace(m=p.m * k)
     pol = policy.period2_policy(policy.OutcomeKind.INCUMBENT_RETAINS, t.tau2_probe,
                                 p.sigma_d, p.sigma_f, p.m)
@@ -197,42 +194,49 @@ def turnover_alpha_derivative(t: Trial) -> Outcome:
     return ok, "turnover slope mismatch"
 
 
+def _matches_oracle(t: Trial, sol: fiscal.Solution, brute_force: Callable) -> Outcome:
+    """A solve matches its grid oracle unless clamped."""
+    if sol.flags.clamped:
+        return None
+    bf = brute_force(t.params, t.cost, sol.gamma)
+    return (abs(sol.tau2_star - bf) <= 2.0 * fiscal.GRID_STEP,
+            f"closed={sol.tau2_star!r} grid={bf!r}")
+
+
 def oracle_equivalence(t: Trial) -> Outcome:
     """Closed-form investment equals the grid argmax when nothing clamps."""
-    if t.sol.flags.clamped:
-        return None
-    bf = t.brute_force(t.params, t.cost, t.sol.gamma)
-    return (abs(t.sol.tau2_star - bf) <= 2.0 * fiscal.GRID_STEP,
-            f"closed={t.sol.tau2_star!r} grid={bf!r}")
+    return _matches_oracle(t, t.result, fiscal.brute_force_tau2)
 
 
 def second_order_condition(t: Trial) -> Outcome:
-    """The objective is concave in tau2."""
+    """Both objectives are concave in tau2."""
     grid = np.linspace(t.params.tau1, t.hi_feas, 201)
-    second = np.diff(t.eu_I1(t.params, t.cost, grid, t.sol.gamma == 1), n=2)
+    second = np.concatenate([np.diff(eu_I1(t.params, t.cost, grid, sol.gamma == 1), n=2)
+                             for sol, eu_I1 in _objectives(t)])
     return (bool(np.all(second <= 1e-12)),
             f"max second difference {float(second.max())!r}")
 
 
 def maximality(t: Trial) -> Outcome:
-    """The reported optimum beats nearby feasible points."""
-    p, cost, tau2_star, war = t.params, t.cost, t.sol.tau2_star, t.sol.gamma == 1
-    probes = [tau2_star - 10 * fiscal.GRID_STEP, tau2_star + 10 * fiscal.GRID_STEP]
-    probes = [t2 for t2 in probes if p.tau1 <= t2 <= t.hi_feas]
-    v_star = t.eu_I1(p, cost, tau2_star, war)
-    return (all(v_star >= t.eu_I1(p, cost, t2, war) - 1e-12 * max(1.0, abs(v_star))
-                for t2 in probes),
-            "a nearby point beats the reported optimum")
+    """Both reported optima beat nearby feasible points."""
+    p, cost, ok = t.params, t.cost, True
+    for sol, eu_I1 in _objectives(t):
+        tau2_star, war = sol.tau2_star, sol.gamma == 1
+        probes = [tau2_star - 10 * fiscal.GRID_STEP, tau2_star + 10 * fiscal.GRID_STEP]
+        v_star = eu_I1(p, cost, tau2_star, war)
+        ok &= all(v_star >= eu_I1(p, cost, t2, war) - 1e-12 * max(1.0, abs(v_star))
+                  for t2 in probes if p.tau1 <= t2 <= t.hi_feas)
+    return ok, "a nearby point beats the reported optimum"
 
 
 def corner_consistency(t: Trial) -> Outcome:
-    """Corner flag, zero marginal benefit, and tau2*=tau1 line up."""
-    sol = t.sol
-    if sol.flags.clamped:
-        return None
-    return (sol.flags.corner == (sol.argument <= 0.0)
-            == (abs(sol.tau2_star - t.params.tau1) == 0.0),
-            f"corner={sol.flags.corner} argument={sol.argument!r} tau2={sol.tau2_star!r}")
+    """Corner flag, zero marginal benefit, and tau2*=tau1 line up on every
+    unclamped solve; skipped when both solves clamp."""
+    checks = [(sol.flags.corner == (sol.argument <= 0.0)
+               == (abs(sol.tau2_star - t.params.tau1) == 0.0),
+               f"corner={sol.flags.corner} argument={sol.argument!r} tau2={sol.tau2_star!r}")
+              for sol in (t.result, t.vresult) if not sol.flags.clamped]
+    return min(checks, default=None)  # False sorts first: a failure wins
 
 
 def regime_fd_signs(t: Trial) -> Outcome:
@@ -334,11 +338,10 @@ def variant_threshold_ordering(t: Trial) -> Outcome:
 def variant_equal_at_zero_cohesion(t: Trial) -> Outcome:
     """At zero cohesiveness the rule pays nothing anyway: variants coincide."""
     zero = t.params.replace(sigma_d=0.0)
-    t0, t0p = conflict.civil_war_threshold(zero), revolution.revolution_threshold(zero)
     base0 = fiscal.solve_equilibrium(zero, t.cost)
     var0 = revolution.revolution_solve(zero, t.cost)
-    same_threshold = ((t0 is None and t0p is None)
-                      or (t0 is not None and t0p is not None and abs(t0 - t0p) <= 1e-12))
+    t0, t0p = base0.sigma_f_bar, var0.sigma_f_bar
+    same_threshold = t0 == t0p or (None not in (t0, t0p) and abs(t0 - t0p) <= 1e-12)
     return (same_threshold and base0.gamma == var0.gamma
             and base0.tau2_star == var0.tau2_star,
             f"baseline={base0.tau2_star!r} variant={var0.tau2_star!r}")
@@ -369,11 +372,7 @@ def variant_war_derivative(t: Trial) -> Outcome:
 
 def variant_oracle_equivalence(t: Trial) -> Outcome:
     """The variant closed form also matches its own grid oracle."""
-    if t.vresult.flags.clamped:
-        return None
-    bf = revolution.brute_force_tau2_variant(t.params, t.cost, t.vresult.gamma)
-    return (abs(t.vresult.tau2_star - bf) <= 2.0 * fiscal.GRID_STEP,
-            f"closed={t.vresult.tau2_star!r} grid={bf!r}")
+    return _matches_oracle(t, t.vresult, revolution.brute_force_tau2_variant)
 
 
 # every property, in report order
@@ -391,23 +390,22 @@ PROPERTIES = (
 PROPERTY_NAMES = [prop.__name__ for prop in PROPERTIES]
 
 
-def run_trials(trials: int, seed: int, variant: str = "baseline",
-               workers: int = 1, max_counterexamples: int = 50) -> VerifyReport:
-    """Run the whole property suite; deterministic for a given seed.
+def run_trials(trials: int, seed: int, workers: int = 1,
+               max_counterexamples: int = 50) -> VerifyReport:
+    """Run the property suite on both variants; deterministic for a given seed.
     `workers` must be 1; it stays only for perfbench/run.py, which passes it."""
-    revolution._check_variant(variant)
     if workers != 1:
         raise ValueError(f"workers must be 1, got {workers!r}")
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    report = VerifyReport(trials=trials, seed=seed, variant=variant)
+    report = VerifyReport(trials=trials, seed=seed)
     for name in PROPERTY_NAMES:
         report.properties[name] = PropertyStats()
 
     for trial in range(trials):
-        t = _make_trial(trial, seed, variant)
+        t = _make_trial(trial, seed)
         for prop in PROPERTIES:
             stats, outcome = report.properties[prop.__name__], prop(t)
             if outcome is None:
@@ -430,8 +428,8 @@ def run_trials(trials: int, seed: int, variant: str = "baseline",
 def render_report(report: VerifyReport) -> str:
     """Fixed-width text rendering, stable across runs with the same seed."""
     width = max(len(name) for name in PROPERTY_NAMES)
-    lines = [f"verification: trials={report.trials} seed={report.seed} "
-             f"variant={report.variant}",
+    # perfbench/reference.json pins this header; the frequencies are the baseline's
+    lines = [f"verification: trials={report.trials} seed={report.seed} variant=baseline",
              f"{'property':<{width}}  {'pass':>6} {'fail':>6} {'skip':>6}"]
     for name in PROPERTY_NAMES:
         stats = report.properties[name]

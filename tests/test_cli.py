@@ -453,6 +453,27 @@ def test_verify_failing_run_exits_two(capsys):
         "5c85f5f154a5d09a176b3785709a48bf8b900de21f40d617f776b187abf292bb")
 
 
+@pytest.mark.parametrize("argv", [["verify", "--trials", "abc"], ["solve"],
+                                  ["solve", "--config", "x.cfg", "--variant", "bogus"],
+                                  ["simulate"], [], ["verify", "--variant", "revolution"]])
+def test_usage_errors_exit_one(argv, capsys):
+    # 2 is reserved for a failed verification
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+def test_help_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    assert "usage: fiscap" in capsys.readouterr().out
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "fiscap.cli", "verify", "--trials", "2"],

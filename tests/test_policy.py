@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 
 from fiscap import (CostSpec, InfeasibleInvestment, ModelParams, OutcomeKind,
                     expected_utility_I1, expected_utility_O1, indirect_utility,
-                    period1_policy, period2_policy)
+                    inside_value, offer_value_I1, period1_policy, period2_policy,
+                    reject_value_I1, reservation_value, solve_equilibrium)
 
 from conftest import draw_params
 
@@ -215,6 +216,11 @@ def test_expected_utility_vectorized_matches_scalar(p0c, cost):
         assert np.array_equal(expected_utility_I1(p, cost, grid, war), scalars)
         for tau2 in (grid[1], np.array(grid[1]), float(grid[1])):
             assert type(expected_utility_I1(p, cost, tau2, war)) is float
+            assert type(expected_utility_O1(p, tau2, war)) is float
+    assert type(solve_equilibrium(p, cost).eu_O1) is float
+    for value in (reservation_value(p, 0.5), inside_value(p, 0.3, 0.5),
+                  offer_value_I1(p, 0.3, 0.5), reject_value_I1(p, 0.5)):
+        assert type(value) is float
 
 
 def test_transfer_rules_reject_a_ruler_that_is_not_an_outcome_kind(p0c):

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from fiscap import (PROPERTY_NAMES, OutcomeKind, TurnoverResponse, civil_war_threshold,
-                    investment_condition, render_report, run_trials, solve_equilibrium,
-                    verify)
+                    investment_condition, policy, render_report, revolution, run_trials,
+                    solve_equilibrium, verify)
 from fiscap.fiscal import GRID_STEP
 from fiscap.verify import PROPERTIES, _make_trial, _near_label_boundary
 
@@ -67,26 +67,10 @@ def test_workers_other_than_one_rejected(workers):
         run_trials(3, seed=0, workers=workers)
 
 
-def test_unknown_variant_rejected():
-    with pytest.raises(ValueError, match="revolutoin"):
-        run_trials(3, seed=0, variant="revolutoin")
-
-
 def test_different_seeds_sample_different_points():
     a = run_trials(25, seed=1)
     b = run_trials(25, seed=2)
     assert a.regime_counts != b.regime_counts
-
-
-def test_variant_suite_runs_clean():
-    report = run_trials(40, seed=13, variant="revolution")
-    assert report.failures == 0
-    assert "variant=revolution" in render_report(report)
-    for name, stats in report.properties.items():
-        assert stats.passed + stats.failed + stats.skipped == 40, name
-    assert hashlib.sha256(render_report(report).encode()).hexdigest() == (
-        "45ef0779494ba145ec0d3e75e9b62c88660d546ae927b4391ffaf2088496c5f8")
-
 
 
 def test_fd_sign_guard_near_label_boundaries(p0c, cost):
@@ -114,6 +98,10 @@ def _unbalance_period2(t):
     return replace(t, result=replace(t.result, period2_by_kind=by_kind))
 
 
+def _flip_corner(sol):
+    return replace(sol, flags=replace(sol.flags, corner=not sol.flags.corner))
+
+
 def _flip_turnover_label(t):
     up = t.labels.prop1 is TurnoverResponse.UP
     return replace(t, labels=t.labels._replace(
@@ -121,18 +109,20 @@ def _flip_turnover_label(t):
 
 
 # each property against one field of a trial broken the way the property
-# exists to catch
+# exists to catch; a (module, name) pair instead names an objective, which
+# verify reads off its module, to make convex. A property that checks both
+# solves has a case for each, the variant's id ending in "-variant".
 BREAKS = [
     (verify.budget_identity, _unbalance_period2),
     (verify.threshold_decision_agreement,
      lambda t: replace(t, result=replace(t.result, gamma=1 - t.result.gamma))),
-    (verify.oracle_equivalence, lambda t: replace(t, sol=_shift_tau2(t.sol))),
-    (verify.second_order_condition,
-     lambda t: replace(t, eu_I1=lambda params, cost, tau2, war: np.asarray(tau2) ** 2)),
-    (verify.maximality, lambda t: replace(t, sol=_shift_tau2(t.sol))),
-    (verify.corner_consistency,
-     lambda t: replace(t, sol=replace(t.sol, flags=replace(
-         t.sol.flags, corner=not t.sol.flags.corner)))),
+    (verify.oracle_equivalence, lambda t: replace(t, result=_shift_tau2(t.result))),
+    (verify.second_order_condition, (policy, "expected_utility_I1")),
+    (verify.second_order_condition, (revolution, "expected_utility_I1_variant")),
+    (verify.maximality, lambda t: replace(t, result=_shift_tau2(t.result))),
+    (verify.maximality, lambda t: replace(t, vresult=_shift_tau2(t.vresult))),
+    (verify.corner_consistency, lambda t: replace(t, result=_flip_corner(t.result))),
+    (verify.corner_consistency, lambda t: replace(t, vresult=_flip_corner(t.vresult))),
     (verify.regime_fd_signs, _flip_turnover_label),
     (verify.bargain_share_valid,
      lambda t: replace(t, outcome=replace(t.outcome,
@@ -144,15 +134,30 @@ BREAKS = [
     (verify.variant_oracle_equivalence,
      lambda t: replace(t, vresult=_shift_tau2(t.vresult))),
 ]
+BREAK_IDS = [prop.__name__ + ("-variant" if i and BREAKS[i - 1][0] is prop else "")
+             for i, (prop, _) in enumerate(BREAKS)]
 
 
-@pytest.mark.parametrize("prop, break_trial", BREAKS,
-                         ids=[prop.__name__ for prop, _ in BREAKS])
-def test_property_fails_on_a_broken_trial(prop, break_trial):
+@pytest.mark.parametrize("prop, break_trial", BREAKS, ids=BREAK_IDS)
+def test_property_fails_on_a_broken_trial(prop, break_trial, monkeypatch):
     # the first seed-0 trial on which the property passes
-    trial = next(t for t in (_make_trial(i, 0, "baseline") for i in range(100))
+    trial = next(t for t in (_make_trial(i, 0) for i in range(100))
                  if prop(t) is not None and prop(t)[0])
-    outcome = prop(break_trial(trial))
+    if isinstance(break_trial, tuple):
+        monkeypatch.setattr(*break_trial,
+                            lambda params, cost, tau2, war: np.asarray(tau2) ** 2)
+    else:
+        trial = break_trial(trial)
+    outcome = prop(trial)
     assert outcome is not None
     passed, detail = outcome
     assert not passed and isinstance(detail, str)
+
+
+def test_corner_consistency_checks_the_variant_when_the_baseline_clamps():
+    # seed 6, trial 184: the baseline peace solve is capped at tau_max, the
+    # variant's war solve is interior
+    t = _make_trial(184, 6)
+    assert t.result.flags.clamped and not t.vresult.flags.clamped
+    assert verify.corner_consistency(t)[0]
+    assert not verify.corner_consistency(replace(t, vresult=_flip_corner(t.vresult)))[0]
