@@ -8,6 +8,7 @@ revolution variant's solve returns too.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
@@ -72,7 +73,7 @@ def inverse_marginal(cost: CostSpec, y: float) -> float:
     tau2_star 0.207813 -> 0.207812, a rounding tie), so the bisection stays
     until that reference is re-recorded.
     """
-    if not np.isfinite(y):
+    if not math.isfinite(y):
         raise ValueError(f"marginal value must be finite, got {y!r}")
     if y <= 0.0:
         return 0.0
@@ -106,16 +107,11 @@ def max_feasible_tau2(params: ModelParams, cost: CostSpec) -> float:
     """
     budget = params.tau1 * params.m
     if cost.kind == "quadratic":
-        x_max = float(np.sqrt(2.0 * budget / cost.c))
+        x_max = math.sqrt(2.0 * budget / cost.c)
     else:
-        xs, ms, cum, tail_slope = cost._table
-        i = int(np.searchsorted(cum, budget, side="right")) - 1
-        if i == xs.size - 1:
-            s = tail_slope
-        else:
-            s = (ms[i + 1] - ms[i]) / (xs[i + 1] - xs[i])
-        r = budget - cum[i]
-        m0 = ms[i]
+        xs, ms, cum, slopes = cost._table
+        i = bisect_right(cum, budget) - 1
+        s, r, m0 = slopes[i], budget - cum[i], ms[i]
         # cancellation-free form of (-m0 + sqrt(m0^2 + 2*s*r)) / s
         f = 2.0 * r / (m0 + math.sqrt(m0 * m0 + 2.0 * s * r)) if r > 0.0 else 0.0
         x_max = float(xs[i] + f)
@@ -134,7 +130,7 @@ def max_feasible_tau2(params: ModelParams, cost: CostSpec) -> float:
     for _ in range(16):
         if cost.value(top - params.tau1) <= budget:
             break
-        top = float(np.nextafter(top, params.tau1))
+        top = math.nextafter(top, params.tau1)
     return top
 
 

@@ -10,8 +10,11 @@ a time.
 """
 
 import math
-from dataclasses import dataclass, replace
+from bisect import bisect_right
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
+from operator import attrgetter, itemgetter
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -24,9 +27,9 @@ FIELD_ORDER = [
 ]
 KEY_TO_ATTR = {name: ("lam" if name == "lambda" else name) for name in FIELD_ORDER}
 DEFAULTS = {"m": 1.0, "tau1": 0.0, "tau_max": 1.0}
-PROBABILITY_FIELDS = [
-    "alpha", "lambda", "epsilon", "delta", "rho", "mu", "omega", "sigma_d", "sigma_f",
-]
+PROBABILITY_FIELDS = FIELD_ORDER[:9]  # the rest are m, tau1 and tau_max
+_BY_KEY = itemgetter(*FIELD_ORDER)             # field values of a field map
+_BY_ATTR = attrgetter(*KEY_TO_ATTR.values())   # field values of a ModelParams
 SAMPLE_MARGIN = 0.01  # slack sample_params leaves on every strict inequality
 MAX_M = 1e300  # income cap: payoffs (up to 2*tau2*m) and their sums stay finite
 
@@ -49,7 +52,7 @@ class ModelParams:
     tau_max: float = 1.0  # upper bound on the feasible tax rate
 
     def __post_init__(self):
-        violations = _check_ranges(self.as_dict())
+        violations = _check_ranges(_BY_ATTR(self))
         if violations:
             raise AssumptionViolation(violations)
 
@@ -58,7 +61,8 @@ class ModelParams:
         return {key: getattr(self, attr) for key, attr in KEY_TO_ATTR.items()}
 
     def replace(self, **attrs) -> "ModelParams":
-        return replace(self, **attrs)
+        """A copy with `attrs` changed, as `dataclasses.replace` makes it."""
+        return type(self)(**{**self.__dict__, **attrs})
 
 
 @dataclass(frozen=True)
@@ -88,6 +92,8 @@ class CostSpec:
     kind="quadratic" uses C(x) = c*x^2/2. kind="custom" interpolates a
     tabulated marginal piecewise-linearly between knots (extended linearly
     beyond the last knot) and integrates it exactly for the cost value.
+    `value` and `marginal` compute a scalar in Python floats and return a
+    float, and an array in numpy, with the same bits at every point.
     """
 
     kind: str = "quadratic"
@@ -120,64 +126,89 @@ class CostSpec:
             raise NonConvexCost("marginal cost must be strictly increasing")
 
     @cached_property
-    def _table(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        """Custom cost's (knots, marginals, cost at each knot, tail slope),
-        built once per instance; not a field, so eq, hash and repr ignore it."""
-        xs = np.asarray(self.knots)
-        ms = np.asarray(self.marginals)
-        seg = np.diff(xs)
+    def _table(self) -> Tuple[Tuple[float, ...], ...]:
+        """Custom cost's (knots, marginals, cost at each knot, slope from each
+        knot on) as float tuples; past the last knot the last segment's slope
+        goes on. Built once per instance; not a field, so eq, hash and repr
+        ignore it."""
+        xs, ms = tuple(map(float, self.knots)), tuple(map(float, self.marginals))
+        segs = tuple(zip(xs, xs[1:], ms, ms[1:]))
         # exact integral of the piecewise-linear marginal up to each knot
-        cum = np.concatenate([[0.0], np.cumsum(seg * (ms[:-1] + ms[1:]) / 2.0)])
-        slope = (ms[-1] - ms[-2]) / (xs[-1] - xs[-2])
-        return xs, ms, cum, slope
+        cum = (0.0, *accumulate((x1 - x0) * (m0 + m1) / 2.0 for x0, x1, m0, m1 in segs))
+        slopes = tuple((m1 - m0) / (x1 - x0) for x0, x1, m0, m1 in segs)
+        return xs, ms, cum, slopes + slopes[-1:]
+
+    @cached_property
+    def _arrays(self) -> Tuple[np.ndarray, ...]:
+        """`_table` as numpy arrays, for array inputs."""
+        return tuple(map(np.array, self._table))
+
+    def _segment(self, x):
+        """Index j of the last knot at or below x (x >= 0 puts it at 0 or
+        above), and the table in the form that matches x."""
+        if isinstance(x, np.ndarray):
+            table = self._arrays
+            return np.searchsorted(table[0], x, side="right") - 1, table
+        table = self._table
+        return bisect_right(table[0], x) - 1, table
 
     def marginal(self, x):
         """Marginal cost at investment x >= 0 (vectorized)."""
-        x = np.asarray(x, dtype=float)
+        x = _investment(x)
         if self.kind == "quadratic":
             out = self.c * x
         else:
-            xs, ms, _, slope = self._table
-            out = np.where(x <= xs[-1], np.interp(x, xs, ms), ms[-1] + slope * (x - xs[-1]))
-        return out if out.ndim else float(out)
+            j, (xs, ms, _, slopes) = self._segment(x)
+            # np.interp's formula; at a knot x - xs[j] is 0, so it gives ms[j]
+            out = slopes[j] * (x - xs[j]) + ms[j]
+        return out if isinstance(out, np.ndarray) else float(out)
 
     def value(self, x):
         """C(x) for investment x >= 0 (vectorized); C(0) = 0."""
-        x = np.asarray(x, dtype=float)
-        if np.any(x < 0):
-            raise ValueError("investment cannot be negative")
+        x = _investment(x)
         if self.kind == "quadratic":
-            out = self.c * x ** 2 / 2.0
+            out = self.c * (x * x) / 2.0  # x ** 2 is libm pow on a float
         else:
-            xs, ms, cum, slope = self._table
-            # x >= 0 = xs[0] puts idx at 0 or above; cap it at the last segment
-            idx = np.minimum(np.searchsorted(xs, x, side="right") - 1, xs.size - 2)
-            x0, x1 = xs[idx], xs[idx + 1]
-            m0, m1 = ms[idx], ms[idx + 1]
-            inside = np.minimum(x, xs[-1])
-            frac = inside - x0
-            # trapezoid of the linear marginal from x0 to min(x, last knot)
-            m_at = m0 + (m1 - m0) / (x1 - x0) * frac
-            out = cum[idx] + frac * (m0 + m_at) / 2.0
+            j, (xs, ms, cum, slopes) = self._segment(x)
+            minimum = np.minimum if isinstance(x, np.ndarray) else min
+            i = minimum(j, len(xs) - 2)  # the last knot and the tail: last segment
+            inside = minimum(x, xs[-1])
+            frac = inside - xs[i]
+            # trapezoid of the linear marginal from xs[i] to min(x, last knot)
+            m_at = ms[i] + slopes[i] * frac
+            out = cum[i] + frac * (ms[i] + m_at) / 2.0
             extra = x - inside
-            # extra * extra: on a numpy scalar, ** 2 is pow and can land an ulp off
-            out = out + extra * ms[-1] + slope * (extra * extra) / 2.0
-        return out if out.ndim else float(out)
+            out = out + extra * ms[-1] + slopes[-1] * (extra * extra) / 2.0
+        return out if isinstance(out, np.ndarray) else float(out)
 
 
-def _check_ranges(values: Mapping[str, float]) -> List[Violation]:
-    found = []
-    for key in PROBABILITY_FIELDS:
-        v = values[key]
-        if not (0.0 <= v <= 1.0):
-            found.append(Violation(f"range:{key}", f"{key}={v!r} must be in [0, 1]"))
-    if not 0.0 < values["m"] <= MAX_M:
-        found.append(Violation("range:m", f"m={values['m']!r} must be in (0, {MAX_M:g}]"))
-    if not (0.0 <= values["tau1"] <= values["tau_max"] <= 1.0):
+def _investment(x):
+    """x as a Python float (from a Python or numpy scalar) or as a float
+    array; rejects a non-finite or negative investment."""
+    if isinstance(x, (float, int, np.number)):
+        x = float(x)
+        finite, negative = math.isfinite(x), x < 0.0
+    else:
+        x = np.asarray(x, dtype=float)
+        finite, negative = np.isfinite(x).all(), (x < 0.0).any()
+    if not finite:
+        raise ValueError("investment must be finite")
+    if negative:
+        raise ValueError("investment cannot be negative")
+    return x
+
+
+def _check_ranges(values: Sequence[float]) -> List[Violation]:
+    """Range violations of the field values, given in FIELD_ORDER."""
+    *probabilities, m, tau1, tau_max = values
+    found = [Violation(f"range:{key}", f"{key}={v!r} must be in [0, 1]")
+             for key, v in zip(PROBABILITY_FIELDS, probabilities) if not 0.0 <= v <= 1.0]
+    if not 0.0 < m <= MAX_M:
+        found.append(Violation("range:m", f"m={m!r} must be in (0, {MAX_M:g}]"))
+    if not (0.0 <= tau1 <= tau_max <= 1.0):
         found.append(Violation(
             "range:tau1",
-            f"requires 0 <= tau1 <= tau_max <= 1 (tau1={values['tau1']!r}, "
-            f"tau_max={values['tau_max']!r})"))
+            f"requires 0 <= tau1 <= tau_max <= 1 (tau1={tau1!r}, tau_max={tau_max!r})"))
     return found
 
 
@@ -189,7 +220,7 @@ def check_params(values: Mapping[str, float],
     stage pins delta = epsilon, and delta never enters its formulas on its
     own, so points sitting exactly on that boundary stay solvable there.
     """
-    found = _check_ranges(values)
+    found = _check_ranges(_BY_KEY(values))
     if not values["rho"] > values["mu"]:
         found.append(Violation("rho_gt_mu", "requires rho > mu"))
     if not bargaining and not values["omega"] > values["delta"]:

@@ -72,7 +72,8 @@ def _period1(tau1: float, tau2, sigma_d: float, m: float, cost: CostSpec):
     """Period-1 investment cost and ruling-group transfer at capacity tau2;
     raises InfeasibleInvestment if any investment exceeds period-1 revenue."""
     invest = cost.value(tau2 - tau1)
-    if np.any(invest > tau1 * m):
+    over = invest > tau1 * m  # a bool for a float tau2; any point of an array
+    if over.any() if isinstance(over, np.ndarray) else over:
         raise InfeasibleInvestment(
             f"investment cost exceeds period-1 revenue {tau1 * m:.6g}")
     return invest, 2.0 * (tau1 * m - invest) / (1.0 + sigma_d)

@@ -136,6 +136,16 @@ def test_every_construction_route_checks_ranges(build):
     assert violation_codes(info.value) == {"range:alpha"}
 
 
+def test_replace_matches_dataclasses_replace():
+    params = validate_params(VALID_RAW)
+    assert params.replace(alpha=0.3) == dataclasses.replace(params, alpha=0.3)
+    assert params.replace() == params
+    with pytest.raises(TypeError):
+        params.replace(gamma=0.3)
+    with pytest.raises(TypeError):
+        dataclasses.replace(params, gamma=0.3)
+
+
 def test_construction_reports_every_bad_range_together():
     with pytest.raises(AssumptionViolation) as info:
         ModelParams(epsilon=-0.1, sigma_d=1.5, **REGIME_MAP_BASE)
@@ -242,14 +252,51 @@ def test_custom_cost_requires_finite_table():
             CostSpec(kind="custom", knots=knots, marginals=marginals)
 
 
+COSTS = {
+    "quadratic": CostSpec(kind="quadratic", c=2.5),
+    "custom": CostSpec(kind="custom", knots=(0.0, 0.25, 0.5, 0.75, 1.0),
+                       marginals=(0.0, 0.2, 0.5, 0.9, 1.4)),
+    # the last segment's formula gives 0.8999999999999999 at the last knot,
+    # where np.interp returns the tabulated 0.9
+    "short": CostSpec(kind="custom", knots=(0.0, 0.1, 0.2), marginals=(0.0, 0.2, 0.9)),
+}
+
+
 def test_custom_cost_scalar_and_array_calls_agree():
-    # past the last knot too: both calls square the tail term the same way
-    cost = CostSpec(kind="custom", knots=(0.0, 0.25, 0.5, 0.75, 1.0),
-                    marginals=(0.0, 0.2, 0.5, 0.9, 1.4))
-    xs = np.random.default_rng(0).uniform(0.0, 3.0, 20_000)
-    values = cost.value(xs)
-    assert (xs > 1.0).sum() > 10_000
-    assert all(cost.value(float(x)) == v for x, v in zip(xs, values))
+    # scalar calls compute in Python floats and array calls in numpy; both
+    # must give the same bits at 0, at each knot and an ulp either side of
+    # it, on the tail past the last knot, and on uniform draws
+    draws = np.random.default_rng(0).uniform(0.0, 3.0, 20_000)
+    assert (draws > 1.0).sum() > 10_000
+    for name, cost in COSTS.items():
+        # the quadratic cost is probed at the five-knot table's knots
+        knots = COSTS["custom" if name == "quadratic" else name].knots
+        near = [y for k in knots for y in (np.nextafter(k, -1.0), k, np.nextafter(k, 9.0))]
+        xs = np.concatenate([[y for y in near if y >= 0.0], [knots[-1] + 0.3, 7.5], draws])
+        for method in (cost.value, cost.marginal):
+            batch = method(xs)
+            for x, want in zip(xs.tolist(), batch.tolist()):
+                for arg in (x, np.float64(x)):
+                    got = method(arg)
+                    assert type(got) is float and got == want, (name, method, x)
+    # the marginal is np.interp's, extended linearly past the last knot
+    for name in ("custom", "short"):
+        k, m = COSTS[name].knots, COSTS[name].marginals
+        xs = np.concatenate([k, draws * k[-1]])
+        tail = m[-1] + (m[-1] - m[-2]) / (k[-1] - k[-2]) * (xs - k[-1])
+        want = np.where(xs <= k[-1], np.interp(xs, k, m), tail)
+        assert COSTS[name].marginal(xs).tolist() == want.tolist()
+    assert COSTS["short"].marginal(0.2) == 0.9
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "custom"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_cost_rejects_non_finite_investment(kind, bad):
+    cost = COSTS[kind]
+    for method in (cost.value, cost.marginal):
+        for arg in (bad, np.float64(bad), np.array([0.1, bad])):
+            with pytest.raises(ValueError, match="investment must be finite"):
+                method(arg)
 
 
 def test_custom_cost_matches_quadratic_on_linear_marginal():
@@ -304,6 +351,16 @@ def test_cost_value_rejects_negative_investment():
     cost = CostSpec(kind="quadratic", c=1.0)
     with pytest.raises(ValueError):
         cost.value(-0.1)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "custom"])
+def test_cost_methods_reject_negative_investment(kind):
+    # the scalar path's knot lookup has no segment below the first knot
+    cost = COSTS[kind]
+    for method in (cost.value, cost.marginal):
+        for arg in (-0.1, np.float64(-1e-300), np.array([0.1, -0.1])):
+            with pytest.raises(ValueError, match="investment cannot be negative"):
+                method(arg)
 
 
 def test_regime_map_base_point_constructs():
