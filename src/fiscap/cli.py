@@ -12,8 +12,8 @@ from typing import List, Optional, Tuple
 
 from .bargaining import bargaining_outcome, check_bargaining_assumptions, classify_prop5
 from .fiscal import solve_equilibrium
-from .params import (AssumptionViolation, CostSpec, DEFAULTS, FIELD_ORDER, KEY_TO_ATTR,
-                     ModelParams, parse_config_text, validate_params)
+from .params import (AssumptionViolation, CostSpec, FIELD_ORDER, ModelParams, _validate,
+                     parse_config_text, validate_params)
 from .revolution import VARIANTS, _check_variant, revolution_solve
 from .statics import _labels, classify, investment_condition
 from .verify import render_report, run_trials
@@ -218,16 +218,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = parse_config_text(fh.read())
         if args.command == "bargain":
-            # every field present and in range: one error lists model, then stage codes
-            try:
-                params, found = validate_params(raw, bargaining=True), []
-            except AssumptionViolation as exc:
-                if any(":" in v.which for v in exc.violations):  # missing:, range:, ...
-                    raise
-                params = ModelParams(**{KEY_TO_ATTR[k]: v
-                                        for k, v in {**DEFAULTS, **raw}.items()})
-                found = exc.violations
-            found = found + check_bargaining_assumptions(params)
+            # the stage pins delta = epsilon, so it waives omega > delta; one
+            # error lists the model's codes, then (if the point builds) the stage's
+            params, found = _validate(raw)
+            found = [v for v in found if v.which != "omega_gt_delta"]
+            if params is not None:
+                found += check_bargaining_assumptions(params)
             if found:
                 raise AssumptionViolation(found)
             print(bargain_report(params, cost))

@@ -3,10 +3,10 @@
 Every other module takes a validated ModelParams. The type checks its own
 ranges: every construction, `replace` and `dataclasses.replace` included,
 rejects a field outside its range with a `range:<field>` code. The model
-inequalities (rho > mu, omega > delta, ...) are checked by `check_params`,
-because the constitutional stage waives omega > delta. Validation is total:
-all violated conditions are collected and reported together, never one at
-a time.
+inequalities (rho > mu, omega > delta, ...) are checked by `validate_params`
+and `check_params`, on one route that range-checks each point once.
+Validation is total: all violated conditions are collected and reported
+together, never one at a time.
 """
 
 import math
@@ -14,8 +14,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from operator import attrgetter, itemgetter
-from typing import Dict, List, Mapping, Sequence, Tuple
+from operator import attrgetter
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,7 +28,6 @@ FIELD_ORDER = [
 KEY_TO_ATTR = {name: ("lam" if name == "lambda" else name) for name in FIELD_ORDER}
 DEFAULTS = {"m": 1.0, "tau1": 0.0, "tau_max": 1.0}
 PROBABILITY_FIELDS = FIELD_ORDER[:9]  # the rest are m, tau1 and tau_max
-_BY_KEY = itemgetter(*FIELD_ORDER)             # field values of a field map
 _BY_ATTR = attrgetter(*KEY_TO_ATTR.values())   # field values of a ModelParams
 SAMPLE_MARGIN = 0.01  # slack sample_params leaves on every strict inequality
 MAX_M = 1e300  # income cap: payoffs (up to 2*tau2*m) and their sums stay finite
@@ -212,51 +211,56 @@ def _check_ranges(values: Sequence[float]) -> List[Violation]:
     return found
 
 
-def check_params(values: Mapping[str, float],
-                 bargaining: bool = False) -> List[Violation]:
-    """All violated conditions for a complete field map (empty list if valid).
-
-    bargaining=True waives the omega > delta condition: the constitutional
-    stage pins delta = epsilon, and delta never enters its formulas on its
-    own, so points sitting exactly on that boundary stay solvable there.
-    """
-    found = _check_ranges(_BY_KEY(values))
+def _validate(raw: Mapping[str, float]) -> Tuple[Optional[ModelParams], List[Violation]]:
+    """A field map's point (None if it cannot be built) and all its violations:
+    key codes alone if any, else range codes, then the model inequalities."""
+    found: List[Violation] = []
+    values: Dict[str, float] = {}
+    for key in FIELD_ORDER:
+        if key in raw:
+            try:
+                values[key] = float(raw[key])
+            except (TypeError, ValueError, OverflowError):
+                found.append(Violation(f"parse:{key}", f"invalid value for {key}: {raw[key]!r}"))
+        elif key in DEFAULTS:
+            values[key] = DEFAULTS[key]
+        else:
+            found.append(Violation(f"missing:{key}", f"missing field: {key}"))
+    found += [Violation(f"unknown:{key}", f"unknown field: {key}")
+              for key in raw if key not in KEY_TO_ATTR]
+    if found:
+        return None, found
+    try:
+        params = ModelParams(**{KEY_TO_ATTR[k]: v for k, v in values.items()})
+    except AssumptionViolation as exc:
+        params, found = None, exc.violations
     if not values["rho"] > values["mu"]:
         found.append(Violation("rho_gt_mu", "requires rho > mu"))
-    if not bargaining and not values["omega"] > values["delta"]:
+    if not values["omega"] > values["delta"]:
         found.append(Violation("omega_gt_delta", "requires omega > delta"))
     if not values["epsilon"] > values["mu"]:
         found.append(Violation("epsilon_gt_mu", "requires epsilon > mu"))
     if values["omega"] + values["rho"] > 1.0:
         found.append(Violation("lottery_overflow", "requires omega + rho <= 1"))
-    return found
+    return params, found
 
 
-def validate_params(raw: Mapping[str, float], bargaining: bool = False) -> ModelParams:
+def check_params(values: Mapping[str, float]) -> List[Violation]:
+    """All violated conditions for a field map (empty list if valid)."""
+    return _validate(values)[1]
+
+
+def validate_params(raw: Mapping[str, float]) -> ModelParams:
     """Build a validated ModelParams from a field map (external key names).
 
-    Raises AssumptionViolation carrying every violation found: missing or
-    unknown fields, out-of-range values, and violated model inequalities.
+    Raises AssumptionViolation carrying every violation found: missing,
+    non-numeric or unknown fields, out-of-range values, and violated model
+    inequalities.
     """
-    violations: List[Violation] = []
-    values: Dict[str, float] = {}
-    for key in FIELD_ORDER:
-        if key in raw:
-            values[key] = float(raw[key])
-        elif key in DEFAULTS:
-            values[key] = DEFAULTS[key]
-        else:
-            violations.append(Violation(f"missing:{key}", f"missing field: {key}"))
-    for key in raw:
-        if key not in KEY_TO_ATTR:
-            violations.append(Violation(f"unknown:{key}", f"unknown field: {key}"))
-    if violations:
-        raise AssumptionViolation(violations)
-
-    violations = check_params(values, bargaining=bargaining)
-    if violations:
-        raise AssumptionViolation(violations)
-    return ModelParams(**{KEY_TO_ATTR[k]: v for k, v in values.items()})
+    params, found = _validate(raw)
+    if found:
+        raise AssumptionViolation(found)
+    return params
 
 
 def parse_config_text(text: str) -> Dict[str, float]:

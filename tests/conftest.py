@@ -12,8 +12,11 @@ from fiscap import CostSpec, ModelParams, parse_config_text, sample_params, vali
 settings.register_profile("suite", derandomize=True, max_examples=60)
 settings.load_profile("suite")
 
+ROOT = Path(__file__).resolve().parent.parent  # the checkout
 # the paper's regime-map base point, as committed; epsilon and sigma_d vary per point
-REGIME_MAP_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "regime_map.cfg"
+REGIME_MAP_CONFIG = ROOT / "configs" / "regime_map.cfg"
+# README's constitutional-stage point (the p1 fixture), on the omega = delta boundary
+BARGAIN_CONFIG = ROOT / "configs" / "bargain.cfg"
 _regime_map = asdict(validate_params(parse_config_text(REGIME_MAP_CONFIG.read_text())))
 REGIME_MAP_BASE = {k: v for k, v in _regime_map.items() if k not in ("epsilon", "sigma_d")}
 

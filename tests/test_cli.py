@@ -6,18 +6,19 @@ import shlex
 import subprocess
 import sys
 import warnings
-from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from fiscap import cli
+from fiscap import params as params_module
 from fiscap.cli import (CSV_HEADER, MAX_AXIS_POINTS, bargain_report, main,
                         parse_axis, parse_cost, solve_report, sweep_rows,
                         write_sweep_csv)
-from fiscap import AssumptionViolation, CostSpec, solve_equilibrium, validate_params
+from fiscap import (AssumptionViolation, CostSpec, parse_config_text, solve_equilibrium,
+                    validate_params)
 
-from conftest import REGIME_MAP_CONFIG, draw_params, regime_map_point
+from conftest import BARGAIN_CONFIG, REGIME_MAP_CONFIG, ROOT, draw_params, regime_map_point
 
 P0C_TEXT = """\
 # interior-investment point
@@ -34,19 +35,8 @@ m = 1
 tau1 = 0.2
 """
 
-P1_TEXT = """\
-alpha = 0.3
-lambda = 0
-epsilon = 0.3
-delta = 0.3
-rho = 0.4
-mu = 0.1
-omega = 0.3
-sigma_d = 0
-sigma_f = 0.1
-m = 1
-tau1 = 0.2
-"""
+# README's constitutional-stage point, on the waived omega = delta boundary
+P1_TEXT = BARGAIN_CONFIG.read_text()
 
 # regime-map base point; the swept sigma_d and epsilon values replace these
 REGIME_MAP_TEXT = REGIME_MAP_CONFIG.read_text()
@@ -127,6 +117,23 @@ def test_bargain_rejects_epsilon_delta_gap(tmp_path, capsys):
     assert main(["bargain", "--config", str(path)]) == 1
     assert capsys.readouterr().err == ("error: requires rho > mu; requires epsilon <= 1/2; "
                                        "requires epsilon = delta\n")
+
+
+@pytest.mark.parametrize("edits, err", [
+    ({"alpha = 0.3": "alpha = 2", "rho = 0.4": "rho = 0.05"},
+     "error: alpha=2.0 must be in [0, 1]; requires rho > mu\n"),
+    ({"alpha = 0.3": "alpha = 2"}, "error: alpha=2.0 must be in [0, 1]\n"),
+    ({"rho = 0.4\n": ""}, "error: missing field: rho\n"),
+], ids=["range_and_model", "range_on_waived_boundary", "missing"])
+def test_bargain_error_lines(edits, err, tmp_path, capsys):
+    # a point that cannot be built reports the model's codes, never the stage's
+    text = P1_TEXT
+    for old, new in edits.items():
+        text = text.replace(old, new)
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    assert main(["bargain", "--config", str(path)]) == 1
+    assert capsys.readouterr() == ("", err)
 
 
 def test_bargain_alpha_zero_regime(tmp_path, capsys):
@@ -248,6 +255,21 @@ def test_sweep_writes_expected_csv(p0c_config, tmp_path, capsys):
     assert row[5] == "0.462000"
     assert row[6:9] == ["down", "2.B.1", "3.B.1"]
     assert row[9:12] == ["0", "0", "ok"]
+
+
+def test_sweep_range_checks_each_point_once(monkeypatch, cost):
+    # test_traced_sweep_call_rates' 5x5 grid, 5 points invalid (epsilon = mu)
+    base = validate_params(parse_config_text(REGIME_MAP_TEXT))
+    calls = []
+    check_ranges = params_module._check_ranges
+
+    def counted(values):
+        calls.append(values)
+        return check_ranges(values)
+
+    monkeypatch.setattr(params_module, "_check_ranges", counted)
+    sweep_rows(base, cost, parse_axis("sigma_d=0:1:0.25"), parse_axis("epsilon=0.1:0.5:0.1"))
+    assert len(calls) == 25
 
 
 def test_sweep_rows_match_solve(cost):
@@ -394,7 +416,8 @@ def test_reports_finite_at_every_scale(trial, log_m, log_c, big_m):
         params = validate_params(raw)
         reports = [solve_report(params, cost, variant)
                    for variant in ("baseline", "revolution")]
-        reports.append(bargain_report(validate_params(braw, bargaining=True), cost))
+        # the stage's draws keep omega > delta by SAMPLE_MARGIN
+        reports.append(bargain_report(validate_params(braw), cost))
     for report in reports:
         numbers = _printed_numbers(report)
         assert numbers and all(math.isfinite(x) for x in numbers), report
@@ -482,16 +505,21 @@ def test_console_entry_point_runs():
     assert "result: PASS" in proc.stdout
 
 
+def _readme_blocks():
+    """README's fenced blocks as lists of lines, `\\` continuations joined."""
+    text = (ROOT / "README.md").read_text().replace("\\\n", " ")
+    # odd chunks are fenced; each starts with its fence's info string
+    return [chunk.splitlines()[1:] for chunk in text.split("```")[1::2]]
+
+
+def _readme_commands():
+    """Every `fiscap ...` line of README's fenced blocks, `#` comments dropped."""
+    return [shlex.split(line, comments=True)[1:]
+            for block in _readme_blocks() for line in block if line.startswith("fiscap ")]
+
+
 def test_readme_commands_parse():
-    # every `fiscap ...` line of README's fenced blocks, `\` continuations
-    # joined and `#` comments dropped, must still parse
-    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    commands, fenced = [], False
-    for line in text.replace("\\\n", " ").splitlines():
-        if line.startswith("```"):
-            fenced = not fenced
-        elif fenced and line.startswith("fiscap "):
-            commands.append(shlex.split(line, comments=True)[1:])
+    commands = _readme_commands()
     parser = cli._build_parser()
     for argv in commands:
         try:
@@ -499,3 +527,20 @@ def test_readme_commands_parse():
         except SystemExit:
             pytest.fail(f"README command does not parse: fiscap {shlex.join(argv)}")
     assert {argv[0] for argv in commands} == {"solve", "sweep", "verify", "bargain"}
+
+
+def test_readme_commands_run(tmp_path, capsys):
+    # README's solve and bargain lines, with its point.cfg block written out
+    # and configs/ read from the checkout; criterion 7 and CI run its sweep
+    # and verify lines
+    [point] = [block for block in _readme_blocks() if block[:1] == ["# point.cfg"]]
+    (tmp_path / "point.cfg").write_text("\n".join(point) + "\n")
+    ran = set()
+    for argv in _readme_commands():
+        if argv[0] in ("solve", "bargain"):
+            at = argv.index("--config") + 1
+            base = tmp_path if argv[at] == "point.cfg" else ROOT
+            argv[at] = str(base / argv[at])
+            assert main(argv) == 0, capsys.readouterr().err
+            ran.add(argv[0])
+    assert ran == {"solve", "bargain"}

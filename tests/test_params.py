@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fiscap import (AssumptionViolation, CostSpec, ModelParams, NonConvexCost,
-                    check_params, parse_config_text, sample_params,
+                    check_params, cli, parse_config_text, sample_params,
                     validate_params)
+from fiscap.params import Violation
 
-from conftest import REGIME_MAP_BASE, draw_params
+from conftest import BARGAIN_CONFIG, REGIME_MAP_BASE, draw_params
 
 VALID_RAW = {
     "alpha": 0.5, "lambda": 0.0, "epsilon": 0.3, "delta": 0.4, "rho": 0.5,
@@ -53,14 +54,17 @@ def test_rejects_omega_not_above_delta():
     assert "omega_gt_delta" in violation_codes(info.value)
 
 
-def test_bargaining_flag_waives_only_omega_delta():
-    raw = dict(VALID_RAW, omega=0.4, delta=0.4)
-    params = validate_params(raw, bargaining=True)
-    assert params.omega == params.delta == 0.4
-    # everything else still enforced under the flag
-    with pytest.raises(AssumptionViolation) as info:
-        validate_params(dict(raw, rho=0.05), bargaining=True)
-    assert "rho_gt_mu" in violation_codes(info.value)
+def test_bargaining_flag_waives_only_omega_delta(tmp_path, capsys):
+    # the stage's omega = delta point: `bargain` waives omega > delta, `solve`
+    # does not, and `bargain` still enforces every other model inequality
+    config = str(BARGAIN_CONFIG)
+    assert cli.main(["bargain", "--config", config]) == 0
+    assert cli.main(["solve", "--config", config]) == 1
+    assert capsys.readouterr().err == "error: requires omega > delta\n"
+    path = tmp_path / "badrho.cfg"
+    path.write_text(BARGAIN_CONFIG.read_text().replace("rho = 0.4", "rho = 0.05"))
+    assert cli.main(["bargain", "--config", str(path)]) == 1
+    assert "requires rho > mu" in capsys.readouterr().err
 
 
 def test_rejects_epsilon_not_above_mu():
@@ -91,6 +95,43 @@ def test_unknown_field_named():
     with pytest.raises(AssumptionViolation) as info:
         validate_params(raw)
     assert "unknown field: gamma" in str(info.value)
+
+
+@pytest.mark.parametrize("bad", ["x", None, [0.3], 10 ** 400],
+                         ids=["text", "none", "list", "int_past_float"])
+def test_non_numeric_value_named(bad):
+    with pytest.raises(AssumptionViolation) as info:
+        validate_params(dict(VALID_RAW, alpha=bad))
+    assert info.value.violations == [
+        Violation("parse:alpha", f"invalid value for alpha: {bad!r}")]
+
+
+def test_non_numeric_value_reported_with_key_codes():
+    raw = dict(VALID_RAW, sigma_f="x", gamma=1.0)
+    del raw["rho"]
+    with pytest.raises(AssumptionViolation) as info:
+        validate_params(raw)
+    assert [v.which for v in info.value.violations] == [
+        "missing:rho", "parse:sigma_f", "unknown:gamma"]
+
+
+BAD_RAWS = [
+    dict(VALID_RAW, rho=0.05),
+    dict(VALID_RAW, alpha=2.0, rho=0.05, omega=0.4, delta=0.4),
+    dict(VALID_RAW, m=float("inf"), epsilon=0.1, mu=0.1, omega=0.7),
+    dict(VALID_RAW, tau1=0.8, tau_max=0.5, sigma_d=-1.0),
+    dict(VALID_RAW, alpha="x", gamma=1.0),
+    {k: v for k, v in VALID_RAW.items() if k != "rho"},
+]
+
+
+@pytest.mark.parametrize("raw", BAD_RAWS, ids=[
+    "model", "range_and_model", "range_m_and_model", "two_ranges", "parse_and_unknown",
+    "missing"])
+def test_check_params_lists_what_validate_params_raises(raw):
+    with pytest.raises(AssumptionViolation) as info:
+        validate_params(raw)
+    assert check_params(raw) == info.value.violations
 
 
 def test_defaults_m_tau1_tau_max():
